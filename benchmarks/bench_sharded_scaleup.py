@@ -8,21 +8,12 @@ scale-up trade the shard refactor buys: the per-shard working set
 count while the exchange rounds and the boundary-table overhead grow.
 The ``shards=1`` row doubles as the unsharded working-set baseline.
 Every row is checked bit-identical against the unsharded SemiCore*
-cores, and the executor rows assert the serial/multiprocessing/
-persistent I/O-identity contract.
+cores, and the executor rows assert the serial/persistent I/O-identity
+contract.
 
-Two further figures measure this PR's levers on the same proxy:
-
-* the balance/relabel matrix -- node- vs arc-balanced shard bounds
-  crossed with the locality relabeling pre-pass, reporting owned-arc
-  skew, boundary rows and halo bytes per combination (arc balance must
-  meet the ``skew <= 1.15`` acceptance bound; relabeling must shrink
-  the node-balanced halo);
-* the executor wall-clock comparison at the largest shard count, where
-  the persistent shared-memory pool must fork exactly once per
-  decomposition (the multiprocessing pool re-pickles estimates and
-  halos every round; the persistent pool ships them through one shared
-  segment).
+A further figure compares the two executors' wall clock at the largest
+shard count, where the persistent shared-memory pool must fork exactly
+once per decomposition.
 
 Raw metrics land in ``BENCH_RESULTS.json`` via the results sink, so the
 perf trajectory tracks sharded scale-up across PRs.
@@ -44,15 +35,10 @@ from benchmarks.conftest import load_bench_dataset, once
 DATASET = "webbase"
 SHARD_COUNTS = [1, 2, 4, 8]
 FIGURE = "Sharded scale-up (%s proxy)" % DATASET
-BALANCE_FIGURE = "Shard balance and relabeling (%s proxy)" % DATASET
 EXECUTOR_FIGURE = "Shard executors wall-clock (%s proxy)" % DATASET
 
 #: Engine/executor matrix measured at the largest shard count.
-VARIANTS = [("python", "multiprocessing"), ("python", "persistent"),
-            ("numpy", "serial")]
-
-#: The acceptance bound on owned-arc skew under ``balance="arc"``.
-SKEW_BOUND = 1.15
+VARIANTS = [("python", "persistent"), ("numpy", "serial")]
 
 
 def _reference_cores():
@@ -133,78 +119,18 @@ def test_sharded_variants(benchmark, results, reference_cores, engine,
     _add_row(results, result, executor, result.elapsed_seconds)
 
 
-@pytest.mark.parametrize("balance,relabel", [
-    ("node", False), ("node", "bfs"),
-    ("arc", False), ("arc", "bfs"),
-])
-def test_balance_relabel_matrix(benchmark, results, reference_cores,
-                                balance, relabel):
-    """Node- vs arc-balanced bounds crossed with locality relabeling."""
-    num_shards = SHARD_COUNTS[-1]
-    storage = load_bench_dataset(DATASET)
-    outcome = {}
-
-    def run():
-        outcome["result"] = sharded_semi_core_star(
-            storage, num_shards, balance=balance, relabel=relabel)
-
-    once(benchmark, run)
-    result = outcome["result"]
-    storage.close()
-    assert list(result.cores) == reference_cores
-    if balance == "arc":
-        assert result.arc_skew <= SKEW_BOUND, result.arc_skew
-    results.add(
-        BALANCE_FIGURE,
-        dataset=DATASET,
-        shards=num_shards,
-        balance=balance,
-        relabel=relabel or "off",
-        rounds=result.iterations,
-        max_owned_arcs=format_count(result.max_owned_arcs),
-        arc_skew="%.3f" % result.arc_skew,
-        boundary_rows=format_count(result.num_boundary),
-        boundary_fraction="%.1f%%" % (100.0 * result.boundary_fraction),
-        halo_bytes=format_bytes(result.halo_bytes),
-        read_ios=format_count(result.io.read_ios),
-        time=format_seconds(result.elapsed_seconds),
-        _balance=balance,
-        _relabel=relabel or "off",
-        _rounds=result.iterations,
-        _max_owned_arcs=result.max_owned_arcs,
-        _arc_skew=result.arc_skew,
-        _boundary_rows=result.num_boundary,
-        _halo_bytes=result.halo_bytes,
-        _read_ios=result.io.read_ios,
-        _seconds=result.elapsed_seconds,
-    )
-
-
-def test_relabel_shrinks_node_balanced_halo(reference_cores):
-    """The locality pre-pass must shrink the boundary tables."""
-    runs = {}
-    for relabel in (False, "bfs"):
-        storage = load_bench_dataset(DATASET)
-        runs[relabel] = sharded_semi_core_star(storage, SHARD_COUNTS[-1],
-                                               relabel=relabel)
-        storage.close()
-        assert list(runs[relabel].cores) == reference_cores
-    assert runs["bfs"].halo_bytes < runs[False].halo_bytes
-
-
 def test_executor_wallclock(results, reference_cores):
-    """multiprocessing vs persistent at the largest shard count.
+    """serial vs persistent at the largest shard count.
 
-    The persistent pool forks once per decomposition and exchanges
-    estimates through shared memory; the multiprocessing pool forks
-    once too but re-pickles every round's estimate and halo tables.
-    Both must agree with serial on cores and I/O; the wall-clock
-    difference is the transport saving, recorded for the trajectory.
+    The persistent pool forks once per decomposition and runs each
+    round's shard passes in parallel; it must agree with serial on
+    cores, rounds and I/O.  The wall-clock ratio is recorded for the
+    trajectory.
     """
     num_shards = SHARD_COUNTS[-1]
     timings = {}
     runs = {}
-    for executor in ("serial", "multiprocessing", "persistent"):
+    for executor in ("serial", "persistent"):
         storage = load_bench_dataset(DATASET)
         exec_obj = (PersistentShardExecutor()
                     if executor == "persistent" else executor)
@@ -226,11 +152,9 @@ def test_executor_wallclock(results, reference_cores):
             executor=executor,
             rounds=runs[executor].iterations,
             time=format_seconds(seconds),
-            vs_multiprocessing="%.2fx" % (
-                timings["multiprocessing"] / seconds),
+            vs_serial="%.2fx" % (timings["serial"] / seconds),
             _executor=executor,
             _rounds=runs[executor].iterations,
             _seconds=seconds,
-            _speedup_vs_multiprocessing=(
-                timings["multiprocessing"] / seconds),
+            _speedup_vs_serial=timings["serial"] / seconds,
         )

@@ -82,9 +82,6 @@ def _cmd_decompose(args):
             and args.algorithm != "emcore":
         raise ReproError("--executor requires --shards (or "
                          "--algorithm emcore)")
-    if args.shards is None and (args.balance != "node" or args.relabel):
-        raise ReproError("--balance/--relabel shape the sharded layout; "
-                         "they require --shards")
     storage = GraphStorage.open(args.graph)
     if args.shards is not None:
         if args.shards < 1:
@@ -98,9 +95,7 @@ def _cmd_decompose(args):
 
         result = sharded_semi_core_star(storage, args.shards,
                                         engine=args.engine,
-                                        executor=args.executor,
-                                        balance=args.balance,
-                                        relabel=args.relabel or False)
+                                        executor=args.executor)
     else:
         extra = {}
         if args.algorithm == "emcore" and args.executor is not None:
@@ -122,8 +117,6 @@ def _cmd_decompose(args):
         rows[1:1] = [
             ("shards", str(result.num_shards)),
             ("executor", result.executor),
-            ("balance", result.balance),
-            ("relabel", result.relabel or "off"),
             ("max shard rows", format_count(result.max_shard_nodes)),
             ("boundary rows", format_count(result.num_boundary)),
             ("arc skew", "%.3f" % result.arc_skew),
@@ -591,16 +584,6 @@ def build_parser():
     p.add_argument("--executor", default=None, choices=executor_names(),
                    help="how shard passes run (with --shards, or the "
                         "EM-Core partition phase; default serial)")
-    p.add_argument("--balance", default="node", choices=["node", "arc"],
-                   help="shard bound rule (with --shards): equal node "
-                        "ranges, or bounds cut on the cumulative degree "
-                        "array so owned-arc counts balance")
-    p.add_argument("--relabel", nargs="?", const="bfs", default=None,
-                   choices=["bfs", "degeneracy"],
-                   help="locality relabeling pre-pass (with --shards): "
-                        "build the shards in a neighborhood-clustering "
-                        "id space and inverse-map the cores out "
-                        "(default order when given bare: bfs)")
     p.add_argument("--output", help="write per-node core numbers here")
     p.set_defaults(func=_cmd_decompose)
 

@@ -40,11 +40,10 @@ from repro.core.semicore import semi_core
 from repro.core.semicore_plus import semi_core_plus
 from repro.core.semicore_star import converge_star, semi_core_star
 from repro.core.sharded import (
-    MultiprocessingShardExecutor,
+    PersistentShardExecutor,
     SerialShardExecutor,
     executor_names,
     get_executor,
-    register_executor,
     sharded_semi_core_star,
 )
 
@@ -70,10 +69,9 @@ __all__ = [
     "semi_core_star",
     "sharded_semi_core_star",
     "SerialShardExecutor",
-    "MultiprocessingShardExecutor",
+    "PersistentShardExecutor",
     "executor_names",
     "get_executor",
-    "register_executor",
     "converge_star",
     "local_core",
     "compute_cnt",

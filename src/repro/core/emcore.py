@@ -20,7 +20,6 @@ reported model memory is that peak plus the O(n) bookkeeping arrays.
 from __future__ import annotations
 
 import heapq
-import os
 import time
 from array import array
 
@@ -97,8 +96,8 @@ def _partition_ub_task(records):
 
     Runs during the partitioning pass only, where no node is finalized
     yet and every deposit is zero -- so the task is self-contained and
-    any :mod:`repro.core.sharded` executor (serial, multiprocessing,
-    persistent) produces bit-identical upper bounds.
+    either :mod:`repro.core.sharded` executor (serial or persistent)
+    produces bit-identical upper bounds.
     """
     return _partition_upper_bounds(records, _ZERO_DEPOSIT)
 
@@ -126,13 +125,14 @@ def em_core(storage, *, memory_budget_bytes=None, partition_arcs=None,
         returns bit-identical results, including the write I/Os of the
         partition store; see ``docs/ARCHITECTURE.md``.
     executor:
-        A :mod:`repro.core.sharded` shard executor (``None`` = serial, a
-        registered name, or an object with ``run(fn, tasks)``).  The
-        partitioning pass's upper-bound pseudo-peels -- pure functions
-        of each freshly written partition -- run through it in waves of
-        one task per worker, so EMCore scales on the same machinery as
-        the sharded driver.  Results are bit-identical under every
-        executor; partitions are still written in scan order.
+        A :mod:`repro.core.sharded` shard executor (``None`` = serial, an
+        executor name, or a ``ShardExecutor`` instance, which is left
+        open for its caller).  The partitioning pass's upper-bound
+        pseudo-peels -- pure functions of each freshly written
+        partition -- run through it in waves of one task per worker,
+        so EMCore scales on the same machinery as the sharded driver.
+        Results are bit-identical under every executor; partitions are
+        still written in scan order.
     """
     if engine is not None and engine != "python":
         from repro.core.engines import engine_implementation
@@ -170,11 +170,7 @@ def em_core(storage, *, memory_budget_bytes=None, partition_arcs=None,
     # ------------------------------------------------------------------
     exec_obj = get_executor(executor)
     owns_executor = executor is None or isinstance(executor, str)
-    if getattr(exec_obj, "name", "serial") == "serial":
-        wave = 1
-    else:
-        wave = max(1, getattr(exec_obj, "processes", None)
-                   or (os.cpu_count() or 1))
+    wave = max(1, exec_obj.processes)
     pending = []
     pending_arcs = 0
     pending_ubs = []  # (pid, size, records) awaiting their pseudo-peel
@@ -228,9 +224,7 @@ def em_core(storage, *, memory_budget_bytes=None, partition_arcs=None,
             part_span.annotate(partitions=len(metas))
     finally:
         if owns_executor:
-            closer = getattr(exec_obj, "close", None)
-            if closer is not None:
-                closer()
+            exec_obj.close()
 
     # ------------------------------------------------------------------
     # Top-down range computation.

@@ -34,7 +34,6 @@ evolve identically to the reference run.
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -201,11 +200,7 @@ def em_core_numpy(storage, *, memory_budget_bytes=None, partition_arcs=None,
     # the serial run.
     exec_obj = get_executor(executor)
     owns_executor = executor is None or isinstance(executor, str)
-    if getattr(exec_obj, "name", "serial") == "serial":
-        wave = 1
-    else:
-        wave = max(1, getattr(exec_obj, "processes", None)
-                   or (os.cpu_count() or 1))
+    wave = max(1, exec_obj.processes)
     pending_ubs = []  # (pid, size, part, sub_indptr, sub_indices)
 
     def drain_ubs():
@@ -258,9 +253,7 @@ def em_core_numpy(storage, *, memory_budget_bytes=None, partition_arcs=None,
         drain_ubs()
     finally:
         if owns_executor:
-            closer = getattr(exec_obj, "close", None)
-            if closer is not None:
-                closer()
+            exec_obj.close()
 
     # ------------------------------------------------------------------
     # Top-down range computation (identical round structure).

@@ -7,9 +7,6 @@ by the peeling order that IMCore already produces:
 
 * :func:`degeneracy_ordering` -- the smallest-degree-last elimination
   order; every node has at most ``kmax`` later neighbours.
-* :func:`bfs_ordering` -- breadth-first visitation order; consecutive
-  ids land in one neighbourhood, the locality property the sharded
-  relabeling pre-pass (:mod:`repro.core.relabel`) exploits.
 * :func:`greedy_coloring` -- colouring along that order needs at most
   ``kmax + 1`` colours.
 * :func:`clique_number_upper_bound` -- the clique number is at most
@@ -64,35 +61,6 @@ def degeneracy_ordering(graph):
                 if remaining[u] < current:
                     current = remaining[u]
     return order, cores
-
-
-def bfs_ordering(graph):
-    """Breadth-first visitation order over every component.
-
-    Components are explored from their smallest unvisited id and each
-    frontier expands in ascending neighbour order, so the result is
-    deterministic.  Unlike :func:`degeneracy_ordering` this needs only
-    the O(n) visited/queue bookkeeping beyond the adjacency reads, which
-    makes it the default order for the locality relabeling pre-pass.
-    """
-    n = graph.num_nodes
-    visited = [False] * n
-    order = []
-    for root in range(n):
-        if visited[root]:
-            continue
-        visited[root] = True
-        queue = [root]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            order.append(v)
-            for u in sorted(int(w) for w in graph.neighbors(v)):
-                if not visited[u]:
-                    visited[u] = True
-                    queue.append(u)
-    return order
 
 
 def greedy_coloring(graph, order=None):

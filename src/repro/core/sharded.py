@@ -12,9 +12,9 @@ SemiCore* passes until the global fixpoint:
    (the boundary-estimate exchange; all reads use round-start values,
    so rounds are Jacobi *across* shards and Gauss-Seidel *within* one).
 2. **Pass** -- run a SemiCore* sweep per shard with the halo estimates
-   frozen, through a pluggable :class:`ShardExecutor` (``serial``,
-   ``multiprocessing`` or ``persistent``) and any registered engine's
-   ``"shard-pass"`` kernel (``python`` and ``numpy`` ship).
+   frozen, through a :class:`ShardExecutor` (``serial`` in the driving
+   process or ``persistent`` forked workers) and any registered
+   engine's ``"shard-pass"`` kernel (``python`` and ``numpy`` ship).
 3. **Scatter** -- write each shard's new owned estimates back to its
    estimate table; stop once no estimate moved anywhere.
 
@@ -37,27 +37,33 @@ result is the *largest per-shard working set* -- ``O(max shard)``, not
 estimate tables (external storage in the I/O model) and the final cores
 array is assembled by streaming those tables into the result object.
 
-Executor contract
------------------
-``executor.run(fn, tasks)`` evaluates ``fn`` over ``tasks`` and returns
-the results *in task order*.  A shard-pass task must observe three rules
-so executors are interchangeable: it reads only its own shard's devices,
-it starts from dropped device caches, and it charges its I/O to a
-scratch counter that the driver folds into the shared ``IOStats``
-afterwards.  Those rules make cores *and* I/O figures identical between
-``serial``, ``multiprocessing`` and ``persistent`` -- asserted by
+One task shape
+--------------
+Every decomposition keeps its exchange state in one shared round plan
+(:class:`_SharedRoundPlan`, a :mod:`repro.storage.shm` segment): the
+estimate tables, plus a halo slot and an output slot per shard.  A task
+is just ``(shard index, engine name)``.  The pass reads its round-start
+estimates and the gathered halo raw from the plan and writes its owned
+cores back raw, so only counters travel in the result.  The driver does
+all charged gather/scatter I/O against the plan's counting devices; a
+pass starts from dropped device caches, reads only its own shard's
+devices, and charges its I/O to a scratch counter that the driver folds
+into the shared ``IOStats``.  The raw slot traffic is transport, never
+modelled I/O.  Under those rules both executors give identical cores,
+rounds, computation counts *and* ``IOStats`` -- asserted by
 ``tests/test_sharded.py``.
 
-The ``persistent`` executor additionally opts into *shared estimate
-tables*: it declares ``uses_shared_estimates`` and the driver then backs
-the estimate devices with one ``multiprocessing.shared_memory`` segment
-(:mod:`repro.storage.shm`), forks its workers exactly once per
-decomposition, and ships only ``(shard, engine)`` task descriptors per
-round -- the estimate, halo and result payloads travel through the
-shared segment instead of the task pickles.  Charged I/O is untouched:
-the driver performs the same gather/scatter reads and writes against the
-counting devices, and the raw segment traffic replaces pickle transport,
-which the I/O model never counted either.
+Executor contract
+-----------------
+An executor is a :class:`ShardExecutor` (in practice one of the two
+shipped classes or a subclass).  ``run(fn, tasks)`` returns the results
+*in task order*; ``attach_plan(plan)`` is called once before the first
+round and ``close()`` after the last; ``processes``, ``respawns``,
+``pool_forks`` and ``shm_bytes`` are its counters
+(:func:`register_executor_metrics`).  The ``persistent`` executor forks
+its workers at the first ``run`` -- after the driver has published the
+shards and the plan -- so they inherit both through fork, once per
+decomposition.
 """
 
 from __future__ import annotations
@@ -70,23 +76,13 @@ from array import array
 from bisect import bisect_right
 
 from repro.core.engines import DEFAULT_ENGINE, engine_implementation
-from repro.core.relabel import (
-    PermutedGraphView,
-    inverse_map_cores,
-    locality_permutation,
-)
 from repro.core.result import DecompositionResult
 from repro.core.semicore_star import converge_star
 from repro.errors import ExecutorError, GraphError, ReproError
 from repro.obs.trace import span
-from repro.storage.blockio import DEFAULT_BLOCK_SIZE, IOStats, \
-    MemoryBlockDevice
+from repro.storage.blockio import DEFAULT_BLOCK_SIZE, IOStats
 from repro.storage.shards import ShardedGraphStorage
-from repro.storage.shm import (
-    SharedMemoryBlockDevice,
-    SharedMemorySegment,
-    shared_memory_available,
-)
+from repro.storage.shm import SharedMemoryBlockDevice, SharedMemorySegment
 
 #: ``cnt`` sentinel that keeps halo rows permanently satisfied: a frozen
 #: row can lose at most one support per adjacency entry of its shard, so
@@ -135,142 +131,44 @@ def shard_pass_python(graph, *, initial_cores, frozen_from):
 # executors
 # ----------------------------------------------------------------------
 
-class SerialShardExecutor:
+class ShardExecutor:
+    """The shard-executor contract shared by the shipped executors.
+
+    ``run(fn, tasks)`` returns ``[fn(task) for task in tasks]`` in task
+    order.  ``attach_plan(plan)`` records the driver's shared round plan
+    before the first round; ``close()`` releases what ``run`` acquired
+    and detaches the plan.  ``name`` labels the results; the other
+    class attributes are the counters :func:`register_executor_metrics`
+    exports.
+    """
+
+    name = "abstract"
+    #: Worker processes a round runs on (0 = the driving process).
+    processes = 0
+    #: Dead workers replaced during rounds.
+    respawns = 0
+    #: Full worker-pool spawns.
+    pool_forks = 0
+    #: Bytes of the attached shared round plan (0 when detached).
+    shm_bytes = 0
+
+    def run(self, fn, tasks):
+        raise NotImplementedError
+
+    def attach_plan(self, plan):
+        self.shm_bytes = plan.total_bytes
+
+    def close(self):
+        self.shm_bytes = 0
+
+
+class SerialShardExecutor(ShardExecutor):
     """Run shard passes one after another in the driving process."""
 
     name = "serial"
 
     def run(self, fn, tasks):
         return [fn(task) for task in tasks]
-
-    def close(self):
-        pass
-
-
-class MultiprocessingShardExecutor:
-    """Run each round's shard passes in forked worker processes.
-
-    Workers inherit the shard devices through fork and read them with
-    ``os.pread`` (no shared file offsets), so file- and memory-backed
-    shards both work.  A worker's I/O lands in its own scratch counter
-    and is returned with the pass result; the driver folds it into the
-    shared ``IOStats``, which keeps the combined figures identical to
-    the serial executor's.  Worker exceptions propagate to the caller.
-
-    A killed worker is *detected*, not waited on: ``Pool.map`` would
-    block forever because the pool's handler thread silently respawns
-    the worker while the dead one's task is never resubmitted.  ``run``
-    instead polls a ``map_async`` result and watches the pool's worker
-    pids -- a changed pid set, or the ``task_timeout`` deadline, tears
-    the pool down and the whole round is retried on a fresh pool with
-    exponential backoff (``retry_backoff * 2**attempt``).  Retrying the
-    full round is safe and bit-identical because shard passes are pure
-    functions of the round-start estimate tables, which the driver only
-    rewrites after ``run`` returns.  After ``max_retries`` respawns the
-    typed :class:`~repro.errors.ExecutorError` propagates.
-    """
-
-    name = "multiprocessing"
-
-    #: seconds between dead-worker polls while waiting on a round.
-    _POLL_INTERVAL = 0.05
-
-    def __init__(self, processes=None, *, task_timeout=120.0,
-                 max_retries=2, retry_backoff=0.05):
-        if processes is not None and processes < 1:
-            raise ReproError(
-                "processes must be >= 1, got %d" % processes
-            )
-        if task_timeout is not None and task_timeout <= 0:
-            raise ReproError(
-                "task_timeout must be positive, got %r" % (task_timeout,)
-            )
-        if max_retries < 0:
-            raise ReproError(
-                "max_retries must be >= 0, got %d" % max_retries
-            )
-        if retry_backoff < 0:
-            raise ReproError(
-                "retry_backoff must be >= 0, got %r" % (retry_backoff,)
-            )
-        self.processes = processes
-        self.task_timeout = task_timeout
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
-        self.respawns = 0
-        self._pool = None
-
-    def run(self, fn, tasks):
-        if not tasks:
-            return []
-        attempt = 0
-        while True:
-            self._ensure_pool(len(tasks))
-            try:
-                return self._run_once(fn, tasks)
-            except ExecutorError:
-                self.close()
-                if attempt >= self.max_retries:
-                    raise
-                time.sleep(self.retry_backoff * (2 ** attempt))
-                attempt += 1
-                self.respawns += 1
-
-    def _ensure_pool(self, num_tasks):
-        if self._pool is not None:
-            return
-        # Lazily forked on the first round -- after the driver has
-        # published the active shards -- and reused across rounds
-        # (shard devices are read-only during passes, and every
-        # pass starts from dropped caches, so worker reuse cannot
-        # perturb results).  close() allows a later re-fork.
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            raise ReproError(
-                "the multiprocessing executor needs the fork start "
-                "method; use executor='serial' on this platform"
-            ) from None
-        processes = self.processes or (os.cpu_count() or 1)
-        self._pool = context.Pool(
-            processes=max(1, min(processes, num_tasks)))
-
-    def _worker_pids(self):
-        workers = getattr(self._pool, "_pool", None)
-        if workers is None:  # pragma: no cover - future stdlib change
-            return None
-        return frozenset(worker.pid for worker in workers)
-
-    def _run_once(self, fn, tasks):
-        pids = self._worker_pids()
-        deadline = (time.monotonic() + self.task_timeout
-                    if self.task_timeout is not None else None)
-        pending = self._pool.map_async(fn, tasks)
-        while True:
-            try:
-                return pending.get(timeout=self._POLL_INTERVAL)
-            except multiprocessing.TimeoutError:
-                pass
-            current = self._worker_pids()
-            if pids is not None and current != pids:
-                lost = sorted(pids - (current or frozenset()))
-                raise ExecutorError(
-                    "shard-pass worker died mid-round (lost pid%s %s); "
-                    "pool torn down"
-                    % ("s" if len(lost) != 1 else "",
-                       ", ".join(map(str, lost)) or "unknown"))
-            if deadline is not None and time.monotonic() > deadline:
-                raise ExecutorError(
-                    "shard-pass round exceeded task_timeout=%.1fs with "
-                    "%d task%s outstanding; pool torn down"
-                    % (self.task_timeout, len(tasks),
-                       "s" if len(tasks) != 1 else ""))
-
-    def close(self):
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
 
 
 def _persistent_worker(task_queue, result_queue):
@@ -303,48 +201,39 @@ def _persistent_worker(task_queue, result_queue):
             result_queue.put((seq, index, True, result))
 
 
-class PersistentShardExecutor:
+class PersistentShardExecutor(ShardExecutor):
     """A fork-once worker pool driven by task queues over shared memory.
 
     Workers are forked lazily on the first round -- after the driver has
     published the active shards and the shared round plan -- and then
-    reused for *every* subsequent round: rounds are plain queue messages,
-    so the per-round cost is two tiny pickles per shard instead of the
-    multiprocessing executor's estimate/halo/result array transfers.
-    ``pool_forks`` counts full pool spawns (exactly 1 per decomposition
-    on the healthy path; asserted by the bench smoke run) and
-    ``shm_bytes`` the bytes of the currently attached shared segment.
+    reused for *every* subsequent round: rounds are plain queue
+    messages, two tiny pickles per shard.  ``pool_forks`` counts full
+    pool spawns (exactly 1 per decomposition on the healthy path;
+    asserted by the bench smoke run) and ``shm_bytes`` the bytes of the
+    attached shared round plan.
 
-    Fault tolerance follows the multiprocessing executor's contract with
-    one refinement: a dead worker is replaced *in place* (``respawns``
-    increments, ``pool_forks`` does not) and the round is retried on the
-    surviving pool -- no per-round re-fork.  Only a hung round
-    (``task_timeout`` with every worker alive) tears the whole pool
-    down.  After ``max_retries`` failed rounds the typed
+    Fault tolerance: a dead worker is *detected*, not waited on.  It is
+    replaced in place (``respawns`` increments, ``pool_forks`` does not)
+    and the whole round is retried on the surviving pool with
+    exponential backoff (``retry_backoff * 2**attempt``).  A hung round
+    (``task_timeout`` with every worker alive) tears the pool down and
+    the retry forks a fresh one; the plan stays attached throughout.
+    After ``max_retries`` failed rounds the typed
     :class:`~repro.errors.ExecutorError` propagates.  Retried rounds are
     safe and bit-identical because shard passes are pure functions of
-    the round-start estimate tables: duplicate executions rewrite the
-    same bytes into the result slots, and stale replies are discarded by
-    their sequence tag.
+    the round-start estimate tables, which the driver only rewrites
+    after ``run`` returns: duplicate executions rewrite the same bytes
+    into the result slots, and stale replies are discarded by their
+    sequence tag.
     """
 
     name = "persistent"
-
-    #: Tells the driver to back estimate tables with shared memory and
-    #: send slim ``(shard, engine)`` tasks.
-    uses_shared_estimates = True
 
     #: seconds between dead-worker polls while waiting on a round.
     _POLL_INTERVAL = 0.05
 
     def __init__(self, processes=None, *, task_timeout=120.0,
                  max_retries=2, retry_backoff=0.05):
-        if not shared_memory_available():
-            raise ReproError(
-                "the persistent executor needs "
-                "multiprocessing.shared_memory; use "
-                "executor='multiprocessing' on this interpreter"
-            )
         if processes is not None and processes < 1:
             raise ReproError(
                 "processes must be >= 1, got %d" % processes
@@ -361,7 +250,7 @@ class PersistentShardExecutor:
             raise ReproError(
                 "retry_backoff must be >= 0, got %r" % (retry_backoff,)
             )
-        self.processes = processes
+        self.processes = processes or os.cpu_count() or 1
         self.task_timeout = task_timeout
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
@@ -375,11 +264,14 @@ class PersistentShardExecutor:
         self._seq = 0
 
     def attach_plan(self, plan):
-        """Record the driver's shared round plan (for the gauge only).
+        """Record the driver's shared round plan.
 
-        Workers receive the plan itself through fork inheritance of the
-        module globals, not through this call.
+        Workers receive the plan through fork inheritance of the module
+        globals, not through this call, so a pool forked before the plan
+        existed (e.g. by an EMCore run on a caller-owned executor) is
+        retired here; the next ``run`` forks one that sees it.
         """
+        self._teardown()
         self.shm_bytes = plan.total_bytes
 
     def run(self, fn, tasks):
@@ -392,7 +284,7 @@ class PersistentShardExecutor:
                 return self._run_once(fn, tasks)
             except ExecutorError:
                 if attempt >= self.max_retries:
-                    self.close()
+                    self._teardown()
                     raise
                 time.sleep(self.retry_backoff * (2 ** attempt))
                 attempt += 1
@@ -407,12 +299,12 @@ class PersistentShardExecutor:
                 "the persistent executor needs the fork start method; "
                 "use executor='serial' on this platform"
             ) from None
-        processes = self.processes or (os.cpu_count() or 1)
         self._context = context
         self._task_queue = context.Queue()
         self._result_queue = context.Queue()
         self._workers = [
-            self._spawn() for _ in range(max(1, min(processes, num_tasks)))
+            self._spawn()
+            for _ in range(max(1, min(self.processes, num_tasks)))
         ]
         self.pool_forks += 1
 
@@ -458,7 +350,7 @@ class PersistentShardExecutor:
                     % ("s" if len(lost) != 1 else "",
                        ", ".join(map(str, lost))))
             if deadline is not None and time.monotonic() > deadline:
-                self.close()
+                self._teardown()
                 raise ExecutorError(
                     "persistent shard-pass round exceeded "
                     "task_timeout=%.1fs with %d task%s outstanding; "
@@ -479,8 +371,8 @@ class PersistentShardExecutor:
             self.respawns += 1
         return lost
 
-    def close(self):
-        """Retire the pool and drop the queues (reuse re-forks)."""
+    def _teardown(self):
+        """Retire the pool and drop the queues (the next run re-forks)."""
         for worker in self._workers:
             worker.terminate()
         for worker in self._workers:
@@ -493,58 +385,56 @@ class PersistentShardExecutor:
         self._task_queue = None
         self._result_queue = None
         self._context = None
-        self.shm_bytes = 0
+
+    def close(self):
+        """Retire the pool and detach the plan (reuse re-forks)."""
+        self._teardown()
+        super().close()
 
 
 EXECUTORS = {
     SerialShardExecutor.name: SerialShardExecutor,
-    MultiprocessingShardExecutor.name: MultiprocessingShardExecutor,
     PersistentShardExecutor.name: PersistentShardExecutor,
 }
 
 
-def register_executor(name, factory):
-    """Register (or replace) a shard executor factory under ``name``."""
-    EXECUTORS[name.lower()] = factory
-
-
 def executor_names():
-    """All registered executor names, sorted."""
+    """All executor names, sorted."""
     return sorted(EXECUTORS)
 
 
 def register_executor_metrics(executor, registry):
     """Pull-mode views of an executor's counters on ``registry``.
 
-    Works for any resolved executor object; executors without a
-    ``respawns`` counter (e.g. serial) report 0.  Returns ``registry``.
+    ``executor`` is a resolved :class:`ShardExecutor`.  Returns
+    ``registry``.
     """
     registry.counter(
         "repro_executor_respawns",
-        "Worker pools torn down and re-forked after a lost worker."
-    ).set_function(lambda: getattr(executor, "respawns", 0))
+        "Dead shard-pass workers replaced in place."
+    ).set_function(lambda: executor.respawns)
     registry.gauge(
         "repro_executor_processes",
         "Configured worker processes (0 = in-process serial)."
-    ).set_function(lambda: getattr(executor, "processes", None) or 0)
+    ).set_function(lambda: executor.processes)
     registry.counter(
         "repro_executor_pool_forks",
         "Full worker-pool spawns (the persistent executor forks exactly "
         "once per decomposition)."
-    ).set_function(lambda: getattr(executor, "pool_forks", 0))
+    ).set_function(lambda: executor.pool_forks)
     registry.gauge(
         "repro_shm_bytes",
         "Bytes of the shared-memory round plan currently attached "
-        "(0 outside a persistent-executor decomposition)."
-    ).set_function(lambda: getattr(executor, "shm_bytes", 0))
+        "(0 outside a sharded decomposition)."
+    ).set_function(lambda: executor.shm_bytes)
     return registry
 
 
 def get_executor(executor):
-    """Resolve an executor spec: None, a registered name, or an object.
+    """Resolve an executor spec: None (serial), a name, or an executor.
 
-    Anything exposing ``run(fn, tasks)`` is accepted as-is, so callers
-    can plug in their own (thread pools, remote workers, ...).
+    Executor objects must be :class:`ShardExecutor` instances -- one of
+    the shipped classes or a subclass.
     """
     if executor is None:
         executor = SerialShardExecutor.name
@@ -553,14 +443,14 @@ def get_executor(executor):
             return EXECUTORS[executor.lower()]()
         except KeyError:
             raise ReproError(
-                "unknown executor %r (registered: %s)"
+                "unknown executor %r (known: %s)"
                 % (executor, ", ".join(executor_names()))
             ) from None
-    if hasattr(executor, "run"):
+    if isinstance(executor, ShardExecutor):
         return executor
     raise ReproError(
-        "executor must be a registered name or expose run(fn, tasks); "
-        "got %r" % (executor,)
+        "executor must be one of %s or a ShardExecutor instance; got %r"
+        % (", ".join(executor_names()), executor)
     )
 
 
@@ -573,18 +463,17 @@ class _SharedRoundPlan:
 
     One segment holds, per shard, three regions: the *estimate table*
     (backing a counting :class:`~repro.storage.shm.
-    SharedMemoryBlockDevice`, so the driver's gather/scatter charges
-    exactly what the memory-device path charges), a *halo slot* the
-    driver fills raw with the gathered boundary estimates, and an
-    *output slot* the worker fills raw with the pass's owned cores.
-    The raw slots replace pickle transport, which was never modelled
-    I/O either -- that is what keeps the counters bit-identical across
-    executors.
+    SharedMemoryBlockDevice`, charged by the same block rules as every
+    other device), a *halo slot* the driver fills raw with the gathered
+    boundary estimates, and an *output slot* the pass fills raw with its
+    owned cores.  The raw slots are transport, never modelled I/O --
+    that is what keeps the counters identical across executors.
 
     The driver owns the plan: it is created before the first round,
-    inherited by the workers through fork, and closed (detached *and*
-    unlinked) in the driver's ``finally`` whether the decomposition
-    succeeds or dies -- no ``/dev/shm`` entry outlives the call.
+    inherited by persistent workers through fork, and closed (detached
+    *and* unlinked) when the driver leaves its ``with`` block, whether
+    the decomposition succeeds or dies -- no ``/dev/shm`` entry outlives
+    the call.
     """
 
     def __init__(self, sharded, block_size, stats):
@@ -623,16 +512,12 @@ class _SharedRoundPlan:
         cores.frombytes(bytes(self.segment.buf[start:start + size]))
         return cores
 
-    # -- worker side (fork-inherited object) ---------------------------
-    def read_estimates_raw(self, index, count):
-        """A shard's round-start owned estimates (raw transport)."""
+    # -- pass side (in-process or fork-inherited object) ---------------
+    def read_pass_input(self, index, count):
+        """A shard's round-start owned estimates followed by its halo
+        estimates -- adjacent regions, so one raw read of ``count``
+        local rows."""
         start = self._regions[index][0]
-        size = count * ESTIMATE_ENTRY_SIZE
-        return bytes(self.segment.buf[start:start + size])
-
-    def read_halo_raw(self, index, count):
-        """A shard's published halo estimates (raw transport)."""
-        start = self._regions[index][1]
         size = count * ESTIMATE_ENTRY_SIZE
         return bytes(self.segment.buf[start:start + size])
 
@@ -647,6 +532,13 @@ class _SharedRoundPlan:
             device.close()
         self.segment.close()
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self.close()
+        return False
+
 
 # ----------------------------------------------------------------------
 # the per-shard task (module level so it pickles into workers)
@@ -656,18 +548,27 @@ class _SharedRoundPlan:
 #: ``executor.run`` so forked workers inherit it.
 _ACTIVE_SHARDS = None
 
-#: Shared round plan of the running decomposition (persistent executor
-#: only); inherited by workers the same way.
+#: Shared round plan of the running decomposition; inherited the same
+#: way.
 _ACTIVE_PLAN = None
 
 
-def _execute_shard_pass(shard, engine, initial):
-    """Run one shard's kernel under the executor contract's three rules.
+def _run_shard_pass_shared(task):
+    """Run one shard pass; the unit of work executors schedule.
 
-    The pass starts cold (device caches dropped), touches only the
-    shard's own devices, and charges its I/O to a scratch counter so the
-    driver can apply one combined delta whatever process ran the pass.
+    ``task`` is ``(shard_index, engine)``.  The pass starts cold (device
+    caches dropped), touches only the shard's own devices, and charges
+    its I/O to a scratch counter so the driver can apply one combined
+    delta whatever process ran it.  Estimates and halo values come raw
+    from the round plan and the owned cores go back the same way.
+    Returns ``(computations, sweep_iterations, model_memory_bytes,
+    io_counts)``.
     """
+    index, engine = task
+    shard = _ACTIVE_SHARDS[index]
+    plan = _ACTIVE_PLAN
+    initial = array(_ESTIMATE_TYPECODE)
+    initial.frombytes(plan.read_pass_input(index, shard.num_local))
     graph = shard.graph
     kernel = engine_implementation(engine, "shard-pass")
     scratch = IOStats()
@@ -683,44 +584,10 @@ def _execute_shard_pass(shard, engine, initial):
     finally:
         for dev, stats in zip(devices, saved):
             dev.stats = stats
-    owned_cores = array(_ESTIMATE_TYPECODE, cores[:shard.num_owned])
+    plan.write_cores(index,
+                     array(_ESTIMATE_TYPECODE, cores[:shard.num_owned]))
     io_counts = (scratch.read_ios, scratch.write_ios,
                  scratch.bytes_read, scratch.bytes_written)
-    return owned_cores, computations, sweeps, memory, io_counts
-
-
-def _run_shard_pass(task):
-    """Execute one shard pass; the unit of work executors schedule.
-
-    ``task`` is ``(shard_index, engine, owned_estimates, halo_estimates)``.
-    Returns ``(owned_cores, computations, sweep_iterations,
-    model_memory_bytes, io_counts)``.
-    """
-    index, engine, owned, halo = task
-    shard = _ACTIVE_SHARDS[index]
-    initial = array(_ESTIMATE_TYPECODE, owned)
-    initial.extend(halo)
-    return _execute_shard_pass(shard, engine, initial)
-
-
-def _run_shard_pass_shared(task):
-    """Shared-memory variant: ``task`` is just ``(shard_index, engine)``.
-
-    Estimates and halo values come raw from the fork-inherited round
-    plan and the owned cores go back the same way; only the counters
-    return through the result queue, so the message stays tiny however
-    large the shard is.  Returns ``(computations, sweep_iterations,
-    model_memory_bytes, io_counts)``.
-    """
-    index, engine = task
-    shard = _ACTIVE_SHARDS[index]
-    plan = _ACTIVE_PLAN
-    initial = array(_ESTIMATE_TYPECODE)
-    initial.frombytes(plan.read_estimates_raw(index, shard.num_owned))
-    initial.frombytes(plan.read_halo_raw(index, shard.num_boundary))
-    owned_cores, computations, sweeps, memory, io_counts = \
-        _execute_shard_pass(shard, engine, initial)
-    plan.write_cores(index, owned_cores)
     return computations, sweeps, memory, io_counts
 
 
@@ -729,31 +596,23 @@ def _run_shard_pass_shared(task):
 # ----------------------------------------------------------------------
 
 def sharded_semi_core_star(graph, num_shards, *, engine=None,
-                           executor=None, path=None, trace_changes=False,
-                           balance="node", relabel=False):
+                           executor=None, path=None, trace_changes=False):
     """Decompose ``graph`` with ``num_shards`` node-range shards.
 
     ``engine`` selects the per-shard pass kernel through the engine
     registry (``"shard-pass"``; default the reference python kernel),
     ``executor`` how the passes run (``"serial"`` default,
-    ``"multiprocessing"``, ``"persistent"``, a registered name, or any
-    object with ``run(fn, tasks)``).  ``path`` makes the shard tables
-    file-backed.  ``balance`` picks the fencepost rule (``"node"`` or
-    ``"arc"``, see :class:`~repro.storage.shards.ShardedGraphStorage`)
-    and ``relabel`` enables the locality relabeling pre-pass
-    (``True``/``"bfs"`` or ``"degeneracy"``, see
-    :mod:`repro.core.relabel`); cores are inverse-mapped on the way out,
-    so every combination returns bit-identical core numbers.
+    ``"persistent"``, or a :class:`ShardExecutor` instance).  ``path``
+    makes the shard tables file-backed.
 
     Returns a :class:`DecompositionResult` whose cores are bit-identical
     to :func:`~repro.core.semicore_star.semi_core_star`, whose
     ``iterations`` counts exchange rounds (including the final round
     that confirms the fixpoint), and whose ``model_memory_bytes`` is the
-    largest per-shard working set (plus the O(n) permutation when
-    relabeling).  Extra attributes: ``num_shards``, ``executor`` (the
-    resolved name), ``max_shard_nodes``, ``num_boundary``, ``balance``,
-    ``relabel``, ``arc_skew``, ``max_owned_arcs``, ``halo_bytes`` and
-    ``boundary_fraction``.
+    largest per-shard working set.  Extra attributes: ``num_shards``,
+    ``executor`` (the resolved name), ``max_shard_nodes``,
+    ``num_boundary``, ``arc_skew``, ``max_owned_arcs``, ``halo_bytes``,
+    ``boundary_fraction`` and ``pool_forks``.
     """
     global _ACTIVE_SHARDS, _ACTIVE_PLAN
     started = time.perf_counter()
@@ -767,115 +626,73 @@ def sharded_semi_core_star(graph, num_shards, *, engine=None,
     snapshot = stats.snapshot()
     block_size = getattr(graph, "block_size", DEFAULT_BLOCK_SIZE)
 
-    relabel_method = None
-    rank = None
-    source = graph
-    if relabel:
-        relabel_method = "bfs" if relabel is True else relabel
-        order, rank = locality_permutation(graph, relabel_method)
-        source = PermutedGraphView(graph, order, rank)
-
-    sharded = ShardedGraphStorage.from_storage(
-        source, num_shards, path=path, stats=stats, balance=balance
-    )
-    plan = None
-    if getattr(exec_obj, "uses_shared_estimates", False):
-        plan = _SharedRoundPlan(sharded, block_size, stats)
-        attach = getattr(exec_obj, "attach_plan", None)
-        if attach is not None:
-            attach(plan)
-        estimates = plan.devices
-    else:
-        estimates = [
-            MemoryBlockDevice(block_size=block_size, stats=stats)
-            for _ in sharded.shards
-        ]
-
     rounds = 0
     computations = 0
     peak_memory = 0
     changes = [] if trace_changes else None
-    try:
-        # Round 0: the degree upper bounds, streamed shard by shard.
-        for shard, device in zip(sharded.shards, estimates):
-            degrees = shard.graph.read_degrees()[:shard.num_owned]
-            device.write_at(0, degrees.tobytes())
+    with ShardedGraphStorage.from_storage(
+            graph, num_shards, path=path, stats=stats) as sharded, \
+            _SharedRoundPlan(sharded, block_size, stats) as plan:
+        estimates = plan.devices
+        try:
+            exec_obj.attach_plan(plan)
+            # Round 0: the degree upper bounds, streamed shard by shard.
+            for shard, device in zip(sharded.shards, estimates):
+                degrees = shard.graph.read_degrees()[:shard.num_owned]
+                device.write_at(0, degrees.tobytes())
 
-        boundary_cache = [shard.boundary_ids()
-                          for shard in sharded.shards]
-        _ACTIVE_SHARDS = sharded.shards
-        _ACTIVE_PLAN = plan
-        pass_fn = _run_shard_pass_shared if plan is not None \
-            else _run_shard_pass
-        while True:
-            rounds += 1
-            with span("sharded.round", io=stats, round=rounds,
-                      shards=len(sharded.shards)) as round_span:
-                tasks = []
-                round_start = []
-                with span("sharded.gather", io=stats, round=rounds):
-                    for shard, device, boundary in zip(
-                            sharded.shards, estimates, boundary_cache):
-                        owned = _read_estimates(device, shard.num_owned)
-                        halo = _gather_boundary(boundary, sharded.bounds,
-                                                estimates)
-                        round_start.append(owned)
-                        if plan is not None:
-                            plan.write_halo(shard.index, halo)
-                            tasks.append((shard.index, engine_name))
-                        else:
-                            tasks.append((shard.index, engine_name,
-                                          owned, halo))
-                results = exec_obj.run(pass_fn, tasks)
-                changed = 0
-                with span("sharded.scatter", io=stats, round=rounds):
-                    for shard, device, owned, outcome in zip(
-                            sharded.shards, estimates, round_start,
-                            results):
-                        if plan is not None:
+            boundary_cache = [shard.boundary_ids()
+                              for shard in sharded.shards]
+            tasks = [(shard.index, engine_name) for shard in sharded.shards]
+            _ACTIVE_SHARDS = sharded.shards
+            _ACTIVE_PLAN = plan
+            while True:
+                rounds += 1
+                with span("sharded.round", io=stats, round=rounds,
+                          shards=len(sharded.shards)) as round_span:
+                    round_start = []
+                    with span("sharded.gather", io=stats, round=rounds):
+                        for shard, device, boundary in zip(
+                                sharded.shards, estimates, boundary_cache):
+                            round_start.append(
+                                _read_estimates(device, shard.num_owned))
+                            plan.write_halo(shard.index, _gather_boundary(
+                                boundary, sharded.bounds, estimates))
+                    results = exec_obj.run(_run_shard_pass_shared, tasks)
+                    changed = 0
+                    with span("sharded.scatter", io=stats, round=rounds):
+                        for shard, device, owned, outcome in zip(
+                                sharded.shards, estimates, round_start,
+                                results):
                             comps, _, memory, io_counts = outcome
                             cores = plan.read_cores(shard.index,
                                                     shard.num_owned)
-                        else:
-                            cores, comps, _, memory, io_counts = outcome
-                        _apply_io(stats, io_counts)
-                        computations += comps
-                        local_state = memory + \
-                            12 * shard.num_local + 4 * shard.num_owned
-                        if local_state > peak_memory:
-                            peak_memory = local_state
-                        if cores != owned:
-                            changed += sum(1 for a, b
-                                           in zip(cores, owned)
-                                           if a != b)
-                            device.write_at(0, cores.tobytes())
-                round_span.annotate(changed=changed)
-            if trace_changes:
-                changes.append(changed)
-            if not changed:
-                break
+                            _apply_io(stats, io_counts)
+                            computations += comps
+                            local_state = memory + \
+                                12 * shard.num_local + 4 * shard.num_owned
+                            if local_state > peak_memory:
+                                peak_memory = local_state
+                            if cores != owned:
+                                changed += sum(1 for a, b
+                                               in zip(cores, owned)
+                                               if a != b)
+                                device.write_at(0, cores.tobytes())
+                    round_span.annotate(changed=changed)
+                if trace_changes:
+                    changes.append(changed)
+                if not changed:
+                    break
 
-        cores = array(_ESTIMATE_TYPECODE)
-        for shard, device in zip(sharded.shards, estimates):
-            cores.extend(_read_estimates(device, shard.num_owned))
-        if rank is not None:
-            cores = inverse_map_cores(cores, rank)
-    finally:
-        _ACTIVE_SHARDS = None
-        _ACTIVE_PLAN = None
-        closer = getattr(exec_obj, "close", None)
-        if closer is not None:
-            closer()
-        for device in estimates:
-            device.close()
-        if plan is not None:
-            plan.close()
-        sharded.close()
+            cores = array(_ESTIMATE_TYPECODE)
+            for shard, device in zip(sharded.shards, estimates):
+                cores.extend(_read_estimates(device, shard.num_owned))
+        finally:
+            _ACTIVE_SHARDS = None
+            _ACTIVE_PLAN = None
+            exec_obj.close()
 
     elapsed = time.perf_counter() - started
-    # The permutation and its inverse are O(n) resident ids on top of
-    # the per-shard working set.
-    relabel_overhead = 8 * graph.num_nodes if rank is not None else 0
     result = DecompositionResult(
         algorithm="ShardedSemiCore*",
         cores=cores,
@@ -883,21 +700,19 @@ def sharded_semi_core_star(graph, num_shards, *, engine=None,
         node_computations=computations,
         io=stats.delta_since(snapshot),
         elapsed_seconds=elapsed,
-        model_memory_bytes=peak_memory + relabel_overhead,
+        model_memory_bytes=peak_memory,
         per_iteration_changes=changes,
         engine=engine_name,
     )
     result.num_shards = sharded.num_shards
-    result.executor = getattr(exec_obj, "name", type(exec_obj).__name__)
+    result.executor = exec_obj.name
     result.max_shard_nodes = sharded.max_shard_nodes
     result.num_boundary = sharded.num_boundary
-    result.balance = sharded.balance
-    result.relabel = relabel_method
     result.arc_skew = sharded.arc_skew
     result.max_owned_arcs = sharded.max_owned_arcs
     result.halo_bytes = sharded.halo_bytes
     result.boundary_fraction = sharded.boundary_fraction
-    result.pool_forks = getattr(exec_obj, "pool_forks", None)
+    result.pool_forks = exec_obj.pool_forks
     return result
 
 

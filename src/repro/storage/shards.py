@@ -19,11 +19,9 @@ device shares one :class:`~repro.storage.blockio.IOStats`, so
 Shard layout
 ------------
 Shard ``i`` owns the contiguous global id range ``[bounds[i],
-bounds[i+1])``.  Fenceposts come from :func:`shard_bounds` (even node
-split) or :func:`arc_balanced_bounds` (``balance="arc"``: ~``m/p``
-owned adjacency entries per shard, computed from one sequential degree
-scan).  Its local tables hold ``num_owned + num_boundary``
-nodes:
+bounds[i+1])``; the fenceposts split the id range evenly
+(:func:`shard_bounds`).  Its local tables hold ``num_owned +
+num_boundary`` nodes:
 
 * local ids ``[0, num_owned)`` are the owned nodes (global id minus
   ``start``), each storing its full adjacency -- intra-shard neighbours
@@ -71,48 +69,6 @@ def shard_bounds(num_nodes, num_shards):
     if num_shards < 1:
         raise GraphError("num_shards must be >= 1, got %d" % num_shards)
     return [i * num_nodes // num_shards for i in range(num_shards + 1)]
-
-
-def arc_balanced_bounds(degrees, num_shards):
-    """Contiguous node-range fenceposts balancing *owned arcs* per shard.
-
-    Walks the cumulative degree sequence once and places fencepost ``i``
-    at the node where the running arc total is nearest to
-    ``i * total / num_shards`` (ties resolve to the earlier cut).  Hub
-    shards therefore own ~``m/p`` adjacency entries instead of ~``n/p``
-    nodes, which is what bounds the slowest shard pass on skewed
-    degree distributions.  The split stays a partition of the id range:
-    bounds are nondecreasing, start at 0 and end at ``len(degrees)``.
-    """
-    if num_shards < 1:
-        raise GraphError("num_shards must be >= 1, got %d" % num_shards)
-    n = len(degrees)
-    total = 0
-    for d in degrees:
-        total += int(d)
-    if total == 0:
-        return shard_bounds(n, num_shards)
-    bounds = [0] * (num_shards + 1)
-    bounds[num_shards] = n
-    cum = 0
-    cut = 0
-    for i in range(1, num_shards):
-        # Exact rational target: cum * p >= i * total, no floats.
-        target = i * total
-        while cut < n and cum * num_shards < target:
-            cum += int(degrees[cut])
-            cut += 1
-        if cut > bounds[i - 1]:
-            # Prefer the cut before the last node when it lands nearer
-            # the target (overshoot vs undershoot, scaled by p).
-            prev_cum = cum - int(degrees[cut - 1])
-            overshoot = cum * num_shards - target
-            undershoot = target - prev_cum * num_shards
-            if undershoot <= overshoot and cut - 1 >= bounds[i - 1]:
-                cut -= 1
-                cum = prev_cum
-        bounds[i] = cut
-    return bounds
 
 
 class Shard:
@@ -188,21 +144,19 @@ class Shard:
 class ShardedGraphStorage:
     """A graph split into contiguous node-range shards."""
 
-    def __init__(self, shards, num_nodes, num_arcs, stats, bounds,
-                 balance="node"):
+    def __init__(self, shards, num_nodes, num_arcs, stats, bounds):
         self.shards = list(shards)
         self.num_nodes = num_nodes
         self.num_arcs = num_arcs
         self._stats = stats
         self.bounds = list(bounds)
-        self.balance = balance
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     @classmethod
     def from_storage(cls, storage, num_shards, *, path=None,
-                     block_size=None, stats=None, balance="node"):
+                     block_size=None, stats=None):
         """Split ``storage`` into ``num_shards`` node-range shards.
 
         The source graph is read with one sequential scan (charged to its
@@ -213,12 +167,6 @@ class ShardedGraphStorage:
         ``<path>.shard<i>.nodes/.edges/.boundary``; the default keeps
         them in counting memory devices.
 
-        ``balance`` picks the fencepost rule: ``"node"`` splits the id
-        range evenly (:func:`shard_bounds`), ``"arc"`` balances owned
-        adjacency entries from the cumulative degree sequence
-        (:func:`arc_balanced_bounds`) at the cost of one extra
-        sequential node-table scan, charged like any other read.
-
         Only one shard's staging state is resident at a time, so the
         build itself respects the ``O(max shard)`` memory bound of the
         sharded decomposition.
@@ -227,14 +175,7 @@ class ShardedGraphStorage:
         if block_size is None:
             block_size = getattr(storage, "block_size", DEFAULT_BLOCK_SIZE)
         n = storage.num_nodes
-        if balance == "node":
-            bounds = shard_bounds(n, num_shards)
-        elif balance == "arc":
-            bounds = arc_balanced_bounds(storage.read_degrees(), num_shards)
-        else:
-            raise GraphError(
-                "balance must be 'node' or 'arc', got %r" % (balance,)
-            )
+        bounds = shard_bounds(n, num_shards)
         shards = []
         num_arcs = 0
         for index in range(num_shards):
@@ -243,7 +184,7 @@ class ShardedGraphStorage:
                                  block_size, stats)
             num_arcs += shard.num_arcs
             shards.append(shard)
-        return cls(shards, n, num_arcs, stats, bounds, balance=balance)
+        return cls(shards, n, num_arcs, stats, bounds)
 
     # ------------------------------------------------------------------
     # queries
@@ -297,8 +238,7 @@ class ShardedGraphStorage:
         """Bytes spent on halo state over all shards.
 
         Each halo row costs a node-table entry (empty adjacency) plus
-        one boundary-table entry recording its global id -- the per-id
-        overhead the locality relabeling pre-pass exists to shrink.
+        one boundary-table entry recording its global id.
         """
         per_row = layout.NODE_ENTRY_SIZE + layout.EDGE_ENTRY_SIZE
         return self.num_boundary * per_row

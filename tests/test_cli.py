@@ -270,16 +270,28 @@ class TestShardedDecompose:
         assert "shards" in out and "3" in out
         assert "serial" in out
 
-    def test_sharded_multiprocessing_with_output(self, converted_graph,
-                                                 tmp_path, capsys):
+    def test_sharded_persistent_with_output(self, converted_graph,
+                                            tmp_path, capsys):
         out_file = tmp_path / "cores.tsv"
         assert main(["decompose", "--graph", converted_graph,
-                     "--shards", "2", "--executor", "multiprocessing",
+                     "--shards", "2", "--executor", "persistent",
                      "--output", str(out_file)]) == 0
-        assert "multiprocessing" in capsys.readouterr().out
+        assert "persistent" in capsys.readouterr().out
         cores = [int(line.split("\t")[1])
                  for line in out_file.read_text().splitlines()]
         assert cores == [3, 3, 3, 3, 2, 2, 2, 2, 1]
+
+    @pytest.mark.parametrize("extra", [
+        ["--executor", "multiprocessing"],
+        ["--balance", "arc"],
+        ["--relabel"],
+    ], ids=["multiprocessing-executor", "balance", "relabel"])
+    def test_removed_sharded_options_rejected(self, converted_graph,
+                                              capsys, extra):
+        with pytest.raises(SystemExit) as info:
+            main(["decompose", "--graph", converted_graph,
+                  "--shards", "2"] + extra)
+        assert info.value.code == 2
 
     def test_executor_requires_shards(self, converted_graph, capsys):
         assert main(["decompose", "--graph", converted_graph,

@@ -15,8 +15,8 @@ import pytest
 
 from repro.core.engines import engine_implementation, register_engine
 from repro.core.sharded import (
-    MultiprocessingShardExecutor,
     PersistentShardExecutor,
+    register_executor_metrics,
     sharded_semi_core_star,
 )
 from repro.errors import ExecutorError, ReproError, StorageError
@@ -289,89 +289,21 @@ def _kill_once_shard_pass(graph, *, initial_cores, frozen_from):
                 frozen_from=frozen_from)
 
 
-class TestExecutorFaultTolerance:
-    def test_killed_worker_raises_typed_error_not_hang(self):
-        executor = MultiprocessingShardExecutor(
-            processes=2, task_timeout=30.0, max_retries=0)
-        try:
-            with pytest.raises(ExecutorError, match="died mid-round"):
-                executor.run(_die_by_sigkill, [1, 2])
-        finally:
-            executor.close()
+def _hang_once_shard_pass(graph, *, initial_cores, frozen_from):
+    sentinel = os.environ["REPRO_TEST_HANG_SENTINEL"]
+    if not os.path.exists(sentinel):
+        with open(sentinel, "w"):
+            pass
+        import time
+        time.sleep(600)
+    real = engine_implementation("python", "shard-pass")
+    return real(graph, initial_cores=initial_cores,
+                frozen_from=frozen_from)
 
+
+class TestExecutorFaultTolerance:
     def test_executor_error_is_a_repro_error(self):
         assert issubclass(ExecutorError, ReproError)
-
-    def test_round_deadline_raises_typed_error(self):
-        executor = MultiprocessingShardExecutor(
-            processes=2, task_timeout=0.3, max_retries=0)
-        try:
-            with pytest.raises(ExecutorError, match="task_timeout"):
-                executor.run(_sleep_forever, [1, 2, 3])
-        finally:
-            executor.close()
-        # The executor stays usable after terminating the stuck pool.
-        try:
-            assert executor.run(_alive_square, [2]) == [4]
-        finally:
-            executor.close()
-
-    def test_pool_respawn_retries_the_whole_round(self, tmp_path,
-                                                  monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_KILL_SENTINEL",
-                           str(tmp_path / "killed"))
-        executor = MultiprocessingShardExecutor(
-            processes=2, task_timeout=30.0, max_retries=2,
-            retry_backoff=0.0)
-        try:
-            assert executor.run(_die_once_then_square,
-                                [1, 2, 3]) == [1, 4, 9]
-            assert executor.respawns == 1
-        finally:
-            executor.close()
-
-    def test_retries_exhausted_raises(self):
-        executor = MultiprocessingShardExecutor(
-            processes=2, task_timeout=30.0, max_retries=1,
-            retry_backoff=0.0)
-        try:
-            with pytest.raises(ExecutorError):
-                executor.run(_die_by_sigkill, [1])
-            assert executor.respawns == 1
-        finally:
-            executor.close()
-
-    def test_invalid_tuning_rejected(self):
-        with pytest.raises(ReproError, match="task_timeout"):
-            MultiprocessingShardExecutor(task_timeout=-1.0)
-        with pytest.raises(ReproError, match="max_retries"):
-            MultiprocessingShardExecutor(max_retries=-1)
-        with pytest.raises(ReproError, match="retry_backoff"):
-            MultiprocessingShardExecutor(retry_backoff=-0.5)
-
-    def test_killed_worker_never_changes_sharded_output(
-            self, medium_random_graph, tmp_path, monkeypatch):
-        """Acceptance: SIGKILL mid-pass, retry, bit-identical cores."""
-        edges, n = medium_random_graph
-        expected = nx_core_numbers(edges, n)
-        monkeypatch.setenv("REPRO_TEST_KILL_SENTINEL",
-                           str(tmp_path / "killed"))
-        register_engine("kill-once", "fault-injection test double",
-                        lambda: {"shard-pass": _kill_once_shard_pass})
-        executor = MultiprocessingShardExecutor(
-            processes=2, task_timeout=60.0, max_retries=2,
-            retry_backoff=0.0)
-        try:
-            result = sharded_semi_core_star(
-                GraphStorage.from_edges(edges, n), 3,
-                engine="kill-once", executor=executor)
-            assert list(result.cores) == expected
-            assert executor.respawns >= 1
-            assert os.path.exists(str(tmp_path / "killed"))
-        finally:
-            executor.close()
-            from repro.core.engines import _REGISTRY
-            _REGISTRY.pop("kill-once", None)
 
 
 def _shm_segments():
@@ -388,6 +320,93 @@ class TestPersistentExecutorFaults:
                 executor.run(_die_by_sigkill, [1, 2])
         finally:
             executor.close()
+
+    def test_round_deadline_tears_down_and_stays_reusable(self):
+        """task_timeout with every worker alive: typed error, no hang."""
+        executor = PersistentShardExecutor(
+            processes=2, task_timeout=0.3, max_retries=0)
+        try:
+            with pytest.raises(ExecutorError, match="task_timeout"):
+                executor.run(_sleep_forever, [1, 2, 3])
+            assert executor.pool_forks == 1
+            # The stuck pool is gone; the next run forks a fresh one.
+            assert executor.run(_alive_square, [2]) == [4]
+            assert executor.pool_forks == 2
+        finally:
+            executor.close()
+
+    def test_dead_worker_replaced_and_round_retried(self, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.setenv("REPRO_TEST_KILL_SENTINEL",
+                           str(tmp_path / "killed"))
+        executor = PersistentShardExecutor(
+            processes=2, task_timeout=30.0, max_retries=2,
+            retry_backoff=0.0)
+        try:
+            assert executor.run(_die_once_then_square,
+                                [1, 2, 3]) == [1, 4, 9]
+            # Both workers may race past the sentinel check and die.
+            assert executor.respawns >= 1
+            assert executor.pool_forks == 1
+        finally:
+            executor.close()
+
+    def test_invalid_tuning_rejected(self):
+        with pytest.raises(ReproError, match="task_timeout"):
+            PersistentShardExecutor(task_timeout=-1.0)
+        with pytest.raises(ReproError, match="max_retries"):
+            PersistentShardExecutor(max_retries=-1)
+        with pytest.raises(ReproError, match="retry_backoff"):
+            PersistentShardExecutor(retry_backoff=-0.5)
+
+    def test_hung_round_retry_keeps_the_plan_gauge(
+            self, medium_random_graph, tmp_path, monkeypatch):
+        """A hung round re-forks the pool mid-decomposition; the
+        repro_shm_bytes gauge keeps the attached plan's size until the
+        driver detaches the plan, and the cores stay exact."""
+        from repro.obs import MetricsRegistry
+
+        edges, n = medium_random_graph
+        expected = nx_core_numbers(edges, n)
+        monkeypatch.setenv("REPRO_TEST_HANG_SENTINEL",
+                           str(tmp_path / "hung"))
+        register_engine("hang-once", "fault-injection test double",
+                        lambda: {"shard-pass": _hang_once_shard_pass})
+        registry = MetricsRegistry()
+        attached = []
+        gauges = []
+
+        class Watched(PersistentShardExecutor):
+            def attach_plan(self, plan):
+                super().attach_plan(plan)
+                attached.append(plan.total_bytes)
+
+            def run(self, fn, tasks):
+                results = super().run(fn, tasks)
+                gauges.append(registry.render_prometheus())
+                return results
+
+        executor = Watched(processes=2, task_timeout=1.0, max_retries=2,
+                           retry_backoff=0.0)
+        register_executor_metrics(executor, registry)
+        try:
+            result = sharded_semi_core_star(
+                GraphStorage.from_edges(edges, n), 3,
+                engine="hang-once", executor=executor)
+            assert list(result.cores) == expected
+            assert executor.pool_forks == 2  # the hung round re-forked
+            assert os.path.exists(str(tmp_path / "hung"))
+            assert len(attached) == 1 and attached[0] > 0
+            assert len(gauges) == result.iterations
+            for body in gauges:
+                assert "repro_shm_bytes %d" % attached[0] in body
+            # Detached once the driver closed the executor.
+            assert "repro_shm_bytes 0" in registry.render_prometheus()
+        finally:
+            executor.close()
+            from repro.core.engines import _REGISTRY
+            _REGISTRY.pop("hang-once", None)
+        assert _shm_segments() == []
 
     def test_dead_worker_respawned_in_place_without_pool_refork(
             self, medium_random_graph, tmp_path, monkeypatch):
@@ -441,10 +460,11 @@ class TestPersistentExecutorFaults:
         register_engine("crashy-shm", "failure-injection test double",
                         lambda: {"shard-pass": crashing_pass})
         try:
-            with pytest.raises(ValueError, match="shard pass boom"):
-                sharded_semi_core_star(
-                    GraphStorage.from_edges(edges, n), 2,
-                    engine="crashy-shm", executor="persistent")
+            for executor in ("serial", "persistent"):
+                with pytest.raises(ValueError, match="shard pass boom"):
+                    sharded_semi_core_star(
+                        GraphStorage.from_edges(edges, n), 2,
+                        engine="crashy-shm", executor=executor)
         finally:
             from repro.core.engines import _REGISTRY
             _REGISTRY.pop("crashy-shm", None)

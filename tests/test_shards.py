@@ -6,15 +6,10 @@ import random
 import pytest
 
 from repro.datasets.generators import paper_example_graph, social_graph
-from repro.datasets.registry import load_dataset
 from repro.errors import GraphError
 from repro.storage.blockio import IOStats
 from repro.storage.graphstore import GraphStorage
-from repro.storage.shards import (
-    ShardedGraphStorage,
-    arc_balanced_bounds,
-    shard_bounds,
-)
+from repro.storage.shards import ShardedGraphStorage, shard_bounds
 
 
 def build(edges, n, num_shards, **kwargs):
@@ -36,77 +31,19 @@ class TestShardBounds:
         with pytest.raises(GraphError, match="num_shards"):
             shard_bounds(10, 0)
 
+    def test_node_ranges_differ_by_at_most_one(self):
+        for n in (1, 5, 9, 100, 257):
+            for s in (1, 2, 3, 7, n):
+                bounds = shard_bounds(n, s)
+                sizes = [b - a for a, b in zip(bounds, bounds[1:])]
+                assert sum(sizes) == n
+                assert max(sizes) - min(sizes) <= 1, (n, s)
 
-class TestArcBalancedBounds:
-    def test_partitions_the_range(self):
-        rng = random.Random(5)
-        for n in (0, 1, 5, 9, 100):
-            degrees = [rng.randint(0, 12) for _ in range(n)]
-            for s in (1, 2, 3, 7, max(1, n)):
-                bounds = arc_balanced_bounds(degrees, s)
-                assert bounds[0] == 0 and bounds[-1] == n
-                assert len(bounds) == s + 1
-                assert all(a <= b for a, b in zip(bounds, bounds[1:]))
 
-    def test_zero_degrees_fall_back_to_node_bounds(self):
-        assert arc_balanced_bounds([0] * 10, 3) == shard_bounds(10, 3)
-        assert arc_balanced_bounds([], 4) == shard_bounds(0, 4)
-
-    def test_rejects_non_positive_counts(self):
-        with pytest.raises(GraphError, match="num_shards"):
-            arc_balanced_bounds([1, 2, 3], 0)
-
-    def test_uniform_degrees_match_node_bounds(self):
-        # Constant degree: arcs are proportional to nodes, so the
-        # arc-balanced cuts land on the equal node-range fenceposts.
-        assert arc_balanced_bounds([4] * 12, 4) == shard_bounds(12, 4)
-
-    def test_hub_front_loads_small_first_shard(self):
-        # One hub of degree 90 plus 10 pendant rows: the arc rule cuts
-        # right after the hub while the node rule keeps half the rows
-        # (and nearly all arcs) in shard 0.
-        degrees = [90] + [1] * 10
-        bounds = arc_balanced_bounds(degrees, 2)
-        assert bounds[1] == 1
-        owned = [sum(degrees[a:b]) for a, b in zip(bounds, bounds[1:])]
-        assert max(owned) == 90
-
-    def test_nearest_fencepost_prefers_the_smaller_error(self):
-        # Cumulative arcs 2,4,6,8: the midpoint 4 sits exactly on the
-        # second row's boundary; undershoot ties overshoot and the
-        # earlier cut wins.
-        assert arc_balanced_bounds([2, 2, 2, 2], 2) == [0, 2, 4]
-
-    def test_skew_beats_node_balance_on_hub_heavy_proxy(self):
-        """Acceptance: arc skew <= 1.15 where node balance blows up."""
-        storage = load_dataset("webbase", scale=0.05)
-        node = ShardedGraphStorage.from_storage(
-            load_dataset("webbase", scale=0.05), 8, balance="node")
-        arc = ShardedGraphStorage.from_storage(storage, 8, balance="arc")
-        assert arc.arc_skew <= 1.15
-        assert arc.arc_skew < node.arc_skew
-
-    def test_arc_balanced_build_preserves_adjacency(self):
-        edges, n = social_graph(150, 2, 8, seed=12)
-        storage = GraphStorage.from_edges(edges, n)
-        sharded = ShardedGraphStorage.from_storage(storage, 5,
-                                                   balance="arc")
-        assert sharded.balance == "arc"
-        assert sum(s.num_owned for s in sharded.shards) == n
-        for v in range(n):
-            assert list(sharded.neighbors(v)) == \
-                list(storage.neighbors(v))
-
-    def test_unknown_balance_rejected(self):
-        edges, n = paper_example_graph()
-        storage = GraphStorage.from_edges(edges, n)
-        with pytest.raises(GraphError, match="balance"):
-            ShardedGraphStorage.from_storage(storage, 2, balance="magic")
-
+class TestLayoutStatistics:
     def test_balance_statistics_properties(self):
         edges, n = social_graph(120, 2, 6, seed=8)
         _, sharded = build(edges, n, 4)
-        assert sharded.balance == "node"
         assert sharded.max_owned_arcs == \
             max(s.num_arcs for s in sharded.shards)
         assert sharded.mean_owned_arcs == pytest.approx(
@@ -120,6 +57,25 @@ class TestArcBalancedBounds:
         _, empty = build([], 0, 3)
         assert empty.arc_skew == 1.0
         assert empty.boundary_fraction == 0.0
+
+    def test_single_shard_has_no_halo(self):
+        edges, n = social_graph(120, 2, 6, seed=8)
+        storage, sharded = build(edges, n, 1)
+        assert sharded.num_boundary == 0
+        assert sharded.halo_bytes == 0
+        assert sharded.boundary_fraction == 0.0
+        assert sharded.arc_skew == pytest.approx(1.0)
+        assert sharded.max_owned_arcs == storage.num_arcs
+
+    def test_halo_bytes_count_node_and_boundary_entries(self):
+        from repro.storage import layout
+
+        edges, n = social_graph(120, 2, 6, seed=8)
+        _, sharded = build(edges, n, 4)
+        assert sharded.halo_bytes == sharded.num_boundary * (
+            layout.NODE_ENTRY_SIZE + layout.EDGE_ENTRY_SIZE)
+        assert sharded.boundary_fraction == pytest.approx(
+            sharded.num_boundary / n)
 
 
 class TestBuildInvariants:
