@@ -1,3 +1,3 @@
 """Package version, kept separate so tooling can read it cheaply."""
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"

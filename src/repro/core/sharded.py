@@ -145,7 +145,7 @@ class ShardExecutor:
     name = "abstract"
     #: Worker processes a round runs on (0 = the driving process).
     processes = 0
-    #: Dead workers replaced during rounds.
+    #: Workers found dead mid-round (each fails its attempt).
     respawns = 0
     #: Full worker-pool spawns.
     pool_forks = 0
@@ -212,19 +212,18 @@ class PersistentShardExecutor(ShardExecutor):
     asserted by the bench smoke run) and ``shm_bytes`` the bytes of the
     attached shared round plan.
 
-    Fault tolerance: a dead worker is *detected*, not waited on.  It is
-    replaced in place (``respawns`` increments, ``pool_forks`` does not)
-    and the whole round is retried on the surviving pool with
-    exponential backoff (``retry_backoff * 2**attempt``).  A hung round
-    (``task_timeout`` with every worker alive) tears the pool down and
-    the retry forks a fresh one; the plan stays attached throughout.
-    After ``max_retries`` failed rounds the typed
-    :class:`~repro.errors.ExecutorError` propagates.  Retried rounds are
-    safe and bit-identical because shard passes are pure functions of
-    the round-start estimate tables, which the driver only rewrites
-    after ``run`` returns: duplicate executions rewrite the same bytes
-    into the result slots, and stale replies are discarded by their
-    sequence tag.
+    Fault tolerance: a dead worker (``respawns`` counts them) or a hung
+    round (``task_timeout`` with every worker alive) fails the attempt,
+    and a failed attempt always tears the whole pool down; the retry
+    forks a fresh one after exponential backoff
+    (``retry_backoff * 2**attempt``) while the plan stays attached.  So
+    no pass of a failed attempt outlives it: none can write its output
+    slot once the driver has moved on to the next round.  After
+    ``max_retries`` failed attempts the typed
+    :class:`~repro.errors.ExecutorError` propagates.  Retried rounds
+    are bit-identical because shard passes are pure functions of the
+    round-start estimate tables, and stale replies are discarded by
+    their sequence tag.
     """
 
     name = "persistent"
@@ -283,8 +282,8 @@ class PersistentShardExecutor(ShardExecutor):
             try:
                 return self._run_once(fn, tasks)
             except ExecutorError:
+                self._teardown()
                 if attempt >= self.max_retries:
-                    self._teardown()
                     raise
                 time.sleep(self.retry_backoff * (2 ** attempt))
                 attempt += 1
@@ -342,15 +341,15 @@ class PersistentShardExecutor(ShardExecutor):
                     results[index] = payload
                     received += 1
                 continue
-            lost = self._respawn_dead()
+            lost = [w.pid for w in self._workers if not w.is_alive()]
             if lost:
+                self.respawns += len(lost)
                 raise ExecutorError(
                     "persistent shard-pass worker died mid-round (lost "
-                    "pid%s %s); respawned in place, round retried"
+                    "pid%s %s); pool torn down"
                     % ("s" if len(lost) != 1 else "",
                        ", ".join(map(str, lost))))
             if deadline is not None and time.monotonic() > deadline:
-                self._teardown()
                 raise ExecutorError(
                     "persistent shard-pass round exceeded "
                     "task_timeout=%.1fs with %d task%s outstanding; "
@@ -358,18 +357,6 @@ class PersistentShardExecutor(ShardExecutor):
                     % (self.task_timeout, len(tasks) - received,
                        "s" if len(tasks) - received != 1 else ""))
         return results
-
-    def _respawn_dead(self):
-        """Replace dead workers in place; returns the lost pids."""
-        lost = []
-        for k, worker in enumerate(self._workers):
-            if worker.is_alive():
-                continue
-            lost.append(worker.pid)
-            worker.join()
-            self._workers[k] = self._spawn()
-            self.respawns += 1
-        return lost
 
     def _teardown(self):
         """Retire the pool and drop the queues (the next run re-forks)."""
@@ -411,7 +398,8 @@ def register_executor_metrics(executor, registry):
     """
     registry.counter(
         "repro_executor_respawns",
-        "Dead shard-pass workers replaced in place."
+        "Shard-pass workers found dead mid-round (the pool is "
+        "re-forked)."
     ).set_function(lambda: executor.respawns)
     registry.gauge(
         "repro_executor_processes",

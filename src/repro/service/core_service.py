@@ -34,10 +34,13 @@ absorbing an edge-update stream.  The three moving parts:
   index, and streams only the journal *tail* past the watermark
   through the maintenance algorithms -- reproducing the
   straight-through state exactly (``tests/test_service_recovery.py``
-  kills a service mid-batch, and mid-checkpoint, to prove it).  A data
-  directory written by the v1 single-file-journal code still opens
-  (full prefix replay, as before) and is migrated to the segmented
-  layout by its first checkpoint.
+  kills a service mid-batch, and mid-checkpoint, to prove it).
+
+The manifest is strict: it must carry its ``crc32`` and every key
+:meth:`open` reads, at :data:`MANIFEST_VERSION`.  Anything else --
+including every artifact of the pre-segmented (v1) layout -- is refused
+with a :class:`~repro.errors.CorruptStorageError` naming the file, the
+same verdict ``repro scrub`` reports.
 """
 
 from __future__ import annotations
@@ -78,10 +81,10 @@ from repro.storage.dynamic import DEFAULT_BUFFER_CAPACITY, DynamicGraph
 from repro.storage.graphstore import GraphStorage
 
 MANIFEST_NAME = "manifest.json"
-#: v1 fixed file names (still read when resuming a v1 data directory).
-CHECKPOINT_NAME = "state.ckpt"
-JOURNAL_NAME = "journal.log"
 MANIFEST_VERSION = 2
+#: Keys every manifest must carry (besides its ``crc32``).
+_MANIFEST_KEYS = ("version", "epoch", "events_applied", "checkpoint",
+                  "delta", "journal")
 
 #: Batches applied between automatic checkpoints (None disables them).
 DEFAULT_CHECKPOINT_INTERVAL = 16
@@ -125,9 +128,8 @@ def _manifest_copy_file(epoch):
 def _manifest_body(manifest):
     """Canonical serialization the manifest checksum covers.
 
-    The ``crc32`` field itself is excluded, so the checksum is additive:
-    manifests written before it existed verify as unprotected, and the
-    bytes on disk are exactly ``body`` plus the field.
+    The ``crc32`` field itself is excluded: the bytes on disk are
+    exactly ``body`` plus the field.
     """
     data = {key: value for key, value in manifest.items()
             if key != "crc32"}
@@ -138,9 +140,10 @@ def _load_manifest(path):
     """Read and checksum-verify a service manifest.
 
     Shared between :meth:`CoreService.open` and ``repro scrub``.
-    Propagates :class:`FileNotFoundError`; anything unparsable or
-    failing its ``crc32`` (when present) raises
-    :class:`~repro.errors.CorruptStorageError` carrying ``path``.
+    Propagates :class:`FileNotFoundError`; anything unparsable, without
+    or failing its ``crc32``, missing a required key, or at another
+    format version raises :class:`~repro.errors.CorruptStorageError`
+    carrying ``path``.
     """
     try:
         with open(path, "r", encoding="ascii") as handle:
@@ -158,13 +161,29 @@ def _load_manifest(path):
         raise CorruptStorageError(
             "service manifest %s is not a JSON object" % path,
             path=path)
-    crc = manifest.get("crc32")
-    if crc is not None:
-        body = _manifest_body(manifest).encode("ascii")
-        if crc != zlib.crc32(body) & 0xFFFFFFFF:
+    if "crc32" not in manifest:
+        raise CorruptStorageError(
+            "service manifest %s carries no crc32" % path, path=path)
+    body = _manifest_body(manifest).encode("ascii")
+    if manifest["crc32"] != zlib.crc32(body) & 0xFFFFFFFF:
+        raise CorruptStorageError(
+            "service manifest %s fails its checksum" % path, path=path)
+    missing = [key for key in _MANIFEST_KEYS if key not in manifest]
+    if missing:
+        raise CorruptStorageError(
+            "service manifest %s lacks %s" % (path, ", ".join(missing)),
+            path=path)
+    for key in ("epoch", "events_applied"):
+        if type(manifest[key]) is not int or manifest[key] < 0:
             raise CorruptStorageError(
-                "service manifest %s fails its checksum" % path,
-                path=path)
+                "service manifest %s: %s is %r, not a count"
+                % (path, key, manifest[key]), path=path)
+    if manifest["version"] != MANIFEST_VERSION:
+        raise CorruptStorageError(
+            "service manifest %s has unsupported version %r (this "
+            "build reads version %d)"
+            % (path, manifest["version"], MANIFEST_VERSION),
+            path=path)
     return manifest
 
 
@@ -345,10 +364,8 @@ class CoreService:
         watermark is streamed through the maintenance algorithms -- so
         the resumed ``core``, ``cnt`` and epoch equal a
         straight-through run's, at a cost independent of how many
-        events the service ever absorbed.  A v1 manifest (single-file
-        journal, no delta) falls back to replaying the full journal
-        prefix into the graph, exactly as the v1 code did.  A
-        corrupted journal raises
+        events the service ever absorbed.  A damaged or foreign
+        manifest, checkpoint or journal raises
         :class:`~repro.errors.CorruptStorageError` before any state is
         touched.
         """
@@ -361,11 +378,6 @@ class CoreService:
                 "no service manifest under %s (seed one with "
                 "CoreService.from_storage(data_dir=...))" % data_dir
             ) from None
-        version = manifest.get("version")
-        if version not in (1, MANIFEST_VERSION):
-            raise CorruptStorageError(
-                "unsupported service manifest version %r" % (version,),
-                path=manifest_path)
         graph_path = manifest.get("graph_path")
         owned_storage = None
         if storage is None:
@@ -378,56 +390,38 @@ class CoreService:
         try:
             journal = EventJournal(data_dir,
                                    segment_events=segment_events)
-            applied = int(manifest["events_applied"])
+            applied = manifest["events_applied"]
             if applied > journal.num_events:
                 raise CorruptStorageError(
                     "journal holds %d events but the checkpoint covers %d"
                     % (journal.num_events, applied),
                     path=data_dir)
+            if applied < journal.first_retained_event:
+                raise CorruptStorageError(
+                    "journal was compacted past the checkpoint: first "
+                    "retained event is %d but the checkpoint covers "
+                    "only %d" % (journal.first_retained_event, applied),
+                    path=data_dir)
             graph = DynamicGraph(storage, buffer_capacity=buffer_capacity,
                                  path_factory=path_factory)
-            edge_delta = {}
-            if version == 1:
-                # v1 layout: no delta file, nothing ever compacted --
-                # the checkpointed arrays describe the graph *after*
-                # the first ``applied`` events, so stream that prefix
-                # into the graph alone (no maintenance needed -- the
-                # index already reflects it).  The first checkpoint
-                # migrates the directory to the segmented layout.
-                for _, op, u, v in journal.iter_events(0, applied):
-                    if op == "+":
-                        graph.insert_edge(u, v, validate=False)
-                    else:
-                        graph.delete_edge(u, v, validate=False)
-                    _toggle_delta(edge_delta, op, u, v)
-            else:
-                if applied < journal.first_retained_event:
-                    raise CorruptStorageError(
-                        "journal was compacted past the checkpoint: "
-                        "first retained event is %d but the checkpoint "
-                        "covers only %d"
-                        % (journal.first_retained_event, applied),
-                        path=data_dir)
-                edge_delta = _read_delta_file(
-                    os.path.join(data_dir, manifest["delta"]))
-                # The delta is the *net* difference at the watermark;
-                # applying it reproduces the exact observable graph of
-                # an event-order replay (adjacency is merged sorted).
-                for (u, v), op in sorted(edge_delta.items()):
-                    if op == "+":
-                        graph.insert_edge(u, v, validate=False)
-                    else:
-                        graph.delete_edge(u, v, validate=False)
+            edge_delta = _read_delta_file(
+                os.path.join(data_dir, manifest["delta"]))
+            # The delta is the *net* difference at the watermark;
+            # applying it reproduces the exact observable graph of an
+            # event-order replay (adjacency is merged sorted).
+            for (u, v), op in sorted(edge_delta.items()):
+                if op == "+":
+                    graph.insert_edge(u, v, validate=False)
+                else:
+                    graph.delete_edge(u, v, validate=False)
             cores, cnt = load_checkpoint(
-                os.path.join(data_dir, manifest.get("checkpoint",
-                                                    CHECKPOINT_NAME)),
-                graph)
+                os.path.join(data_dir, manifest["checkpoint"]), graph)
             maintainer = CoreMaintainer(graph, cores, cnt, engine=engine)
             service = cls(maintainer, cache_capacity=cache_capacity,
                           journal=journal, data_dir=data_dir,
                           checkpoint_interval=checkpoint_interval,
                           insert_algorithm=insert_algorithm,
-                          epoch=int(manifest["epoch"]),
+                          epoch=manifest["epoch"],
                           events_applied=applied, graph_path=graph_path,
                           seed_algorithm=manifest.get("seed_algorithm"),
                           edge_delta=edge_delta,
@@ -941,7 +935,7 @@ class CoreService:
            with the per-segment event offsets;
         4. **compact** -- sealed segments fully covered by the new
            watermark are unlinked, and checkpoint/delta files of
-           earlier epochs (including a v1 ``state.ckpt``) are retired.
+           earlier epochs are retired.
 
         A crash anywhere in the sequence leaves a directory that opens
         to a consistent state: before step 3 the previous
@@ -1032,8 +1026,7 @@ class CoreService:
     def _retire_stale_files(self, state_name, delta_name, copy_name):
         """Unlink checkpoint/delta files the manifest no longer names.
 
-        Also collects a migrated v1 ``state.ckpt``, superseded manifest
-        duplicates, and any ``.tmp`` strays a crashed checkpoint left
+        Also collects superseded manifest duplicates, and any ``.tmp`` strays a crashed checkpoint left
         behind (the journal's own temp files are the journal's to
         clean).
         """

@@ -32,10 +32,15 @@ instead of growing with the lifetime of the service.  Event history is
 retention window of the most recent events is kept for introspection
 (:meth:`recent_events`).
 
-A journal created by the v1 code (one ``journal.log`` file) is adopted
-as segment 0 with base offset 0: appends continue into it until the
-first rotation seals it, after which compaction retires it like any
-other sealed segment.
+Segment files are the only journal layout.  A directory still holding
+the single ``journal.log`` of the pre-segmented (v1) format is refused
+with a typed error naming that file: starting a fresh segment beside it
+would silently drop its history.
+
+The record format is parsed in exactly one place, :func:`_walk`:
+:func:`scan_segment` builds a read-only report of one segment on it
+(the open path applies its repair policy on top, and so does
+``repro scrub``), and reads stream through it.
 
 Durability model
 ----------------
@@ -81,26 +86,24 @@ import os
 import re
 import struct
 import zlib
-from collections import deque
+from collections import deque, namedtuple
 
 from repro.errors import CorruptStorageError
-
-_LEGACY_MAGIC = b"RPRJRNL1"
-_LEGACY_VERSION = 1
-_LEGACY_HEADER = struct.Struct("<8sI4x")
 
 _SEGMENT_MAGIC = b"RPRJRNL2"
 _SEGMENT_VERSION = 2
 #: magic, version, pad, sequence number, base event offset.
 _SEGMENT_HEADER = struct.Struct("<8sI4xQQ")
+HEADER_SIZE = _SEGMENT_HEADER.size
 
 _PAYLOAD = struct.Struct("<BIIQ")
 _CRC = struct.Struct("<I")
 
 RECORD_SIZE = _PAYLOAD.size + _CRC.size
 
-#: The v1 single-file journal, adopted as segment 0 when present.
-LEGACY_NAME = "journal.log"
+#: The single-file journal of pre-segmented (v1) data directories;
+#: its presence is refused, never adopted or deleted.
+V1_JOURNAL_NAME = "journal.log"
 #: 6 digits zero-padded, but sequences outlive the padding: match more.
 _SEGMENT_RE = re.compile(r"^journal\.(\d{6,})\.log$")
 
@@ -123,10 +126,27 @@ _KIND_BATCH = 2
 #: still accounting for them -- the batch consumed an epoch).
 _KIND_QUARANTINE = 3
 
+#: Where and why a segment walk stopped early.  ``torn`` marks the
+#: crash-mid-append signature (a short trailing record or batch);
+#: everything else is corruption.
+Damage = namedtuple("Damage", "problem offset torn")
+
 
 def segment_name(seq):
     """File name of segment ``seq`` (``journal.000017.log``)."""
     return "journal.%06d.log" % seq
+
+
+def list_segments(directory):
+    """``(seq, path)`` of every segment file under ``directory``,
+    oldest first."""
+    found = []
+    for name in os.listdir(directory):
+        match = _SEGMENT_RE.match(name)
+        if match:
+            found.append((int(match.group(1)),
+                          os.path.join(directory, name)))
+    return sorted(found)
 
 
 def _pack_record(kind, u, v, batch):
@@ -134,22 +154,183 @@ def _pack_record(kind, u, v, batch):
     return payload + _CRC.pack(zlib.crc32(payload) & 0xFFFFFFFF)
 
 
+def _pack_header(seq, base_events):
+    return _SEGMENT_HEADER.pack(_SEGMENT_MAGIC, _SEGMENT_VERSION, seq,
+                                base_events)
+
+
+def _damage(pos, what, torn=False):
+    """:class:`Damage` of the record starting at byte ``pos``."""
+    return Damage("record %d at byte offset %d %s"
+                  % ((pos - HEADER_SIZE) // RECORD_SIZE, pos, what),
+                  pos, torn)
+
+
+def _unpack_record(record, pos):
+    """``(kind, u, v, batch)`` of the record read at byte ``pos``, or
+    the :class:`Damage` that makes it unreadable."""
+    if len(record) < RECORD_SIZE:
+        return _damage(pos, "is torn", torn=True)
+    payload = record[:_PAYLOAD.size]
+    if _CRC.unpack_from(record, _PAYLOAD.size)[0] \
+            != zlib.crc32(payload) & 0xFFFFFFFF:
+        return _damage(pos, "fails its checksum")
+    return _PAYLOAD.unpack(payload)
+
+
+def _walk(handle, skip=0):
+    """Stream a segment body from the handle's position (just past the
+    header) -- the one parser of the record format.
+
+    Yields ``(end, batch, events)`` per complete batch, ``end`` being
+    the byte offset just past it and ``events`` its ``(op, u, v)``
+    list, and ``(end, batch, None)`` per quarantine marker.  The first
+    ``skip`` events are dropped: whole batches among them are skipped
+    by seek of their announced size, unread -- pass ``skip`` only for a
+    segment a scan already proved whole.  Where the walk cannot go on
+    it yields one :class:`Damage` and stops; end of file after a
+    complete batch ends it cleanly.
+    """
+    pos = handle.tell()
+    while True:
+        record = handle.read(RECORD_SIZE)
+        if not record:
+            return
+        head = _unpack_record(record, pos)
+        if isinstance(head, Damage):
+            yield head
+            return
+        kind, count, _, batch = head
+        if kind not in (_KIND_BATCH, _KIND_QUARANTINE):
+            yield _damage(pos, "is not a batch header (kind %d)" % kind)
+            return
+        pos += RECORD_SIZE
+        if kind == _KIND_QUARANTINE:
+            # Standalone marker: no event body, no offset moved.
+            yield pos, batch, None
+            continue
+        if skip and count <= skip:
+            skip -= count
+            pos += RECORD_SIZE * count
+            handle.seek(pos)
+            continue
+        events = []
+        for _ in range(count):
+            head = _unpack_record(handle.read(RECORD_SIZE), pos)
+            if isinstance(head, Damage):
+                yield head
+                return
+            kind, u, v, owner = head
+            if kind not in _KIND_TO_OP or owner != batch:
+                yield _damage(pos, "does not belong to batch %d" % batch)
+                return
+            events.append((_KIND_TO_OP[kind], u, v))
+            pos += RECORD_SIZE
+        if skip:
+            events, skip = events[skip:], 0
+        yield pos, batch, events
+
+
+class SegmentScan:
+    """What a read-only walk of one segment file found.
+
+    ``base`` is the header's base offset (None for a 0-byte file or a
+    damaged header), ``events`` the number of events in complete
+    batches, ``good_pos`` the byte offset one past the last complete
+    batch (0 when the header itself is damaged), ``damage`` None or
+    the :class:`Damage` the walk stopped at, and ``quarantined`` the
+    batch ids named by quarantine markers.
+    """
+
+    __slots__ = ("path", "name", "seq", "size", "base", "events",
+                 "good_pos", "damage", "quarantined")
+
+    def __init__(self, path, seq):
+        self.path = path
+        self.name = os.path.basename(path)
+        self.seq = seq
+        self.size = 0
+        self.base = None
+        self.events = 0
+        self.good_pos = 0
+        self.damage = None
+        self.quarantined = []
+
+
+def scan_segment(path, seq):
+    """Walk segment file ``seq`` at ``path`` once, streaming.
+
+    Validates the header, counts the events of complete batches and
+    verifies every record CRC.  Damage is *reported*
+    (:attr:`SegmentScan.damage`), never raised, and nothing is written:
+    what to do about it is the caller's policy.
+    """
+    scan = SegmentScan(path, seq)
+    with open(path, "rb") as handle:
+        scan.size = os.fstat(handle.fileno()).st_size
+        header = handle.read(HEADER_SIZE)
+        if not header:
+            return scan
+        if len(header) < HEADER_SIZE:
+            scan.damage = Damage("header truncated", 0, True)
+            return scan
+        magic, version, file_seq, base = _SEGMENT_HEADER.unpack(header)
+        if magic != _SEGMENT_MAGIC:
+            problem = "bad magic %r" % magic
+        elif version != _SEGMENT_VERSION:
+            problem = "unsupported version %d" % version
+        elif file_seq != seq:
+            problem = "header claims sequence %d" % file_seq
+        else:
+            problem = None
+        if problem is not None:
+            scan.damage = Damage(problem, 0, False)
+            return scan
+        scan.base = base
+        scan.good_pos = HEADER_SIZE
+        for item in _walk(handle):
+            if isinstance(item, Damage):
+                scan.damage = item
+                break
+            scan.good_pos, batch, events = item
+            if events is None:
+                scan.quarantined.append(batch)
+            else:
+                scan.events += len(events)
+    return scan
+
+
+def reset_segment(path, seq, base_events):
+    """Rewrite ``path`` in place as an empty segment ``seq`` starting
+    at event ``base_events``: a fresh header, nothing after it,
+    fsynced."""
+    with open(path, "r+b") as handle:
+        handle.write(_pack_header(seq, base_events))
+    truncate_segment(path, HEADER_SIZE)
+
+
+def truncate_segment(path, size):
+    """Cut ``path`` back to ``size`` bytes, fsynced."""
+    with open(path, "r+b") as handle:
+        handle.truncate(size)
+        handle.flush()
+        os.fsync(handle.fileno())
+
+
 class _Segment:
     """Metadata of one live segment file."""
 
     __slots__ = ("path", "name", "seq", "base_events", "num_events",
-                 "append_pos", "header_size", "legacy")
+                 "append_pos")
 
-    def __init__(self, path, seq, base_events, *, legacy=False):
+    def __init__(self, path, seq, base_events, num_events=0,
+                 append_pos=HEADER_SIZE):
         self.path = path
         self.name = os.path.basename(path)
         self.seq = seq
         self.base_events = base_events
-        self.num_events = 0
-        self.header_size = (_LEGACY_HEADER.size if legacy
-                            else _SEGMENT_HEADER.size)
-        self.append_pos = self.header_size
-        self.legacy = legacy
+        self.num_events = num_events
+        self.append_pos = append_pos
 
     @property
     def end_events(self):
@@ -189,24 +370,17 @@ class EventJournal:
         #: repair) -- the durability cost of ingest, surfaced by
         #: ``stats()`` and the metrics registry.
         self.fsyncs = 0
-        self._segments = self._discover()
+        self._segments = []
+        found = self._discover()
+        for index, (seq, path) in enumerate(found):
+            self._adopt(scan_segment(path, seq),
+                        active=index == len(found) - 1)
         if not self._segments:
             self._segments = [self._create_segment(1, 0)]
-        previous = None
-        for segment in self._segments:
-            if segment.base_events is None:
-                # 0-byte file, base unknown: legitimate only for the
-                # active segment (crash between create and header
-                # write); derive its base from the chain.
-                if segment is not self._segments[-1]:
-                    raise CorruptStorageError(
-                        "journal segment %s: sealed segment is empty"
-                        % segment.path,
-                        path=segment.path, segment=segment.seq)
-                segment.base_events = (previous.end_events
-                                       if previous is not None else 0)
-            self._scan_segment(segment)
-            previous = segment
+        if self._retention.maxlen:
+            self._retention.extend(self.iter_events(max(
+                self.first_retained_event,
+                self.num_events - self._retention.maxlen)))
         self._open_active()
 
     # -- writing ------------------------------------------------------------
@@ -469,297 +643,109 @@ class EventJournal:
         self.fsyncs += 1
 
     def _discover(self):
-        """Find live segments (and a legacy v1 file) under the dir."""
+        """Live segments under the dir, oldest first; sweeps strays."""
         if os.path.isfile(self.directory):
             raise CorruptStorageError(
                 "EventJournal takes the journal *directory*, but %s is "
-                "a file (the v1 API took the journal.log path)"
-                % self.directory,
+                "a file" % self.directory,
                 path=self.directory)
         os.makedirs(self.directory, exist_ok=True)
-        segments = []
+        v1_path = os.path.join(self.directory, V1_JOURNAL_NAME)
+        if os.path.exists(v1_path):
+            raise CorruptStorageError(
+                "journal %s: pre-segmented (v1) journal file; this "
+                "version reads only journal segments -- reseed the data "
+                "directory" % v1_path,
+                path=v1_path)
         for name in os.listdir(self.directory):
-            path = os.path.join(self.directory, name)
-            match = _SEGMENT_RE.match(name)
-            if match:
-                segments.append((int(match.group(1)), path))
-            elif (name.startswith("journal.") and name.endswith(".tmp")):
+            if name.startswith("journal.") and name.endswith(".tmp"):
                 # A segment creation that never reached its rename.
-                os.unlink(path)
-        segments.sort()
-        found = []
-        legacy_path = os.path.join(self.directory, LEGACY_NAME)
-        if os.path.exists(legacy_path):
-            found.append(_Segment(legacy_path, 0, 0, legacy=True))
-        for seq, path in segments:
-            base = self._read_segment_header(path, seq)
-            found.append(_Segment(path, seq, base))
-        return found
+                os.unlink(os.path.join(self.directory, name))
+        return list_segments(self.directory)
 
-    def _read_segment_header(self, path, seq):
-        """Validate a v2 segment header; returns its base offset.
+    def _adopt(self, scan, *, active):
+        """Apply the open policy to one scanned segment and append it.
 
-        The header is written atomically with the file's creation, so a
-        short or malformed header is corruption, never a crash window.
-        Base-offset contiguity with the neighbouring segments is
-        checked after each segment's scan, once its event count is
-        known.
+        Only the active (last) segment is ever repaired: a 0-byte file
+        (crash between create and header write -- nothing was
+        journaled) gets its header back, a torn trailing batch is
+        truncated away.  Every other kind of damage, and any damage in
+        a sealed segment, which appends never touch, is corruption.
+        The base offset must meet the predecessor's end.
         """
-        with open(path, "rb") as handle:
-            header = handle.read(_SEGMENT_HEADER.size)
-        if not header:
-            # Base offset unknown until the segment chain is resolved.
-            return None
-        if len(header) != _SEGMENT_HEADER.size:
+        previous = self._segments[-1] if self._segments else None
+        chain_end = previous.end_events if previous is not None else 0
+        damage = scan.damage
+        if scan.size == 0:
+            if not active:
+                raise CorruptStorageError(
+                    "journal segment %s: sealed segment is empty"
+                    % scan.path, path=scan.path, segment=scan.seq)
+            reset_segment(scan.path, scan.seq, chain_end)
+            self.fsyncs += 1
+            scan.base, scan.good_pos = chain_end, HEADER_SIZE
+        elif damage is not None:
+            if not (active and damage.torn and scan.good_pos):
+                raise CorruptStorageError(
+                    "journal segment %s: %s%s"
+                    % (scan.path,
+                       "sealed segment has a torn tail: "
+                       if damage.torn and scan.good_pos else "",
+                       damage.problem),
+                    path=scan.path, segment=scan.seq,
+                    offset=damage.offset)
+            # A torn append of a batch that was never acknowledged.
+            truncate_segment(scan.path, scan.good_pos)
+            self.fsyncs += 1
+        if previous is not None and scan.base != chain_end:
             raise CorruptStorageError(
-                "journal segment %s: header truncated" % path,
-                path=path, segment=seq, offset=0)
-        magic, version, file_seq, base = _SEGMENT_HEADER.unpack(header)
-        if magic != _SEGMENT_MAGIC:
-            raise CorruptStorageError(
-                "journal segment %s: bad magic %r" % (path, magic),
-                path=path, segment=seq, offset=0)
-        if version != _SEGMENT_VERSION:
-            raise CorruptStorageError(
-                "journal segment %s: unsupported version %d"
-                % (path, version),
-                path=path, segment=seq, offset=0)
-        if file_seq != seq:
-            raise CorruptStorageError(
-                "journal segment %s: header claims sequence %d"
-                % (path, file_seq),
-                path=path, segment=seq, offset=0)
-        return base
+                "journal %s: segment ends at event %d but %s starts "
+                "at %d" % (previous.path, chain_end, scan.name, scan.base),
+                path=previous.path, segment=previous.seq)
+        self._quarantined.update(scan.quarantined)
+        self._segments.append(_Segment(scan.path, scan.seq, scan.base,
+                                       scan.events, scan.good_pos))
 
     def _create_segment(self, seq, base_events):
         """Atomically create segment ``seq`` starting at ``base_events``."""
         path = os.path.join(self.directory, segment_name(seq))
         tmp = path + ".tmp"
         with open(tmp, "wb") as handle:
-            handle.write(_SEGMENT_HEADER.pack(
-                _SEGMENT_MAGIC, _SEGMENT_VERSION, seq, base_events))
+            handle.write(_pack_header(seq, base_events))
             self._sync(handle)
         os.replace(tmp, path)
         fsync_path(self.directory)
         return _Segment(path, seq, base_events)
 
-    def _scan_segment(self, segment):
-        """Streaming scan: count events, verify CRCs, fix a torn tail.
-
-        Only the active (last) segment may carry a torn trailing batch;
-        it is truncated away.  The same state in a sealed segment --
-        which appends never touch -- is corruption.
-        """
-        is_active = segment is self._segments[-1]
-        # Only the active segment is ever repaired (tail truncation /
-        # header re-init); sealed segments are read-only.
-        with open(segment.path, "r+b" if is_active else "rb") as handle:
-            size = handle.seek(0, os.SEEK_END)
-            if size == 0:
-                # Crash between create and header write (only the v1
-                # code could leave this; v2 creation is atomic).  For
-                # the active segment nothing was ever journaled:
-                # re-initialize in place.
-                if not is_active:
-                    raise CorruptStorageError(
-                        "journal segment %s: sealed segment is empty"
-                        % segment.path,
-                        path=segment.path, segment=segment.seq)
-                self._init_header(handle, segment)
-                return
-            handle.seek(0)
-            header = handle.read(segment.header_size)
-            if len(header) != segment.header_size:
-                raise CorruptStorageError(
-                    "journal %s: header truncated" % segment.path,
-                    path=segment.path, segment=segment.seq, offset=0)
-            if segment.legacy:
-                magic, version = _LEGACY_HEADER.unpack(header)
-                if magic != _LEGACY_MAGIC:
-                    raise CorruptStorageError(
-                        "journal %s: bad magic %r" % (segment.path, magic),
-                        path=segment.path, segment=segment.seq, offset=0)
-                if version != _LEGACY_VERSION:
-                    raise CorruptStorageError(
-                        "journal %s: unsupported version %d"
-                        % (segment.path, version),
-                        path=segment.path, segment=segment.seq, offset=0)
-            position = segment.header_size
-            read = 0
-            events = 0
-            while True:
-                head = self._read_record(handle, segment, read)
-                if head is None:
-                    break
-                read += 1
-                kind, count, _, batch = head
-                if kind == _KIND_QUARANTINE:
-                    # Standalone marker: no event body, no offset moved.
-                    self._quarantined.add(batch)
-                    position += RECORD_SIZE
-                    continue
-                if kind != _KIND_BATCH:
-                    raise CorruptStorageError(
-                        "journal %s: record %d at byte offset %d is not "
-                        "a batch header (kind %d)"
-                        % (segment.path, read - 1,
-                           self._record_offset(segment, read - 1), kind),
-                        path=segment.path, segment=segment.seq,
-                        offset=self._record_offset(segment, read - 1))
-                complete = True
-                batch_events = []
-                for _ in range(count):
-                    record = self._read_record(handle, segment, read)
-                    if record is None:
-                        complete = False
-                        break
-                    read += 1
-                    event_kind, u, v, event_batch = record
-                    if event_kind not in _KIND_TO_OP or \
-                            event_batch != batch:
-                        raise CorruptStorageError(
-                            "journal %s: record %d at byte offset %d "
-                            "does not belong to batch %d"
-                            % (segment.path, read - 1,
-                               self._record_offset(segment, read - 1),
-                               batch),
-                            path=segment.path, segment=segment.seq,
-                            offset=self._record_offset(segment, read - 1))
-                    batch_events.append(
-                        (batch, _KIND_TO_OP[event_kind], u, v))
-                if not complete:
-                    break
-                events += count
-                self._retention.extend(batch_events)
-                position += RECORD_SIZE * (count + 1)
-            # Anything past the last complete batch is a torn append of
-            # a batch that was never acknowledged: drop it -- but only
-            # where appends can tear, i.e. in the active segment.
-            if handle.seek(0, os.SEEK_END) != position:
-                if not is_active:
-                    raise CorruptStorageError(
-                        "journal %s: sealed segment has a torn tail at "
-                        "byte offset %d" % (segment.path, position),
-                        path=segment.path, segment=segment.seq,
-                        offset=position)
-                handle.seek(position)
-                handle.truncate()
-                self._sync(handle)
-            segment.num_events = events
-            segment.append_pos = position
-        successor = self._successor_of(segment)
-        # A successor with base None is a 0-byte file whose base will
-        # be *derived* from this segment's end -- contiguous by
-        # construction, nothing to check yet.
-        if successor is not None and successor.base_events is not None \
-                and successor.base_events != segment.end_events:
-            raise CorruptStorageError(
-                "journal %s: segment ends at event %d but %s starts "
-                "at %d" % (segment.path, segment.end_events,
-                           successor.name, successor.base_events),
-                path=segment.path, segment=segment.seq)
-
-    def _successor_of(self, segment):
-        index = self._segments.index(segment)
-        if index + 1 < len(self._segments):
-            return self._segments[index + 1]
-        return None
-
-    def _init_header(self, handle, segment):
-        handle.seek(0)
-        if segment.legacy:
-            handle.write(_LEGACY_HEADER.pack(_LEGACY_MAGIC,
-                                             _LEGACY_VERSION))
-        else:
-            handle.write(_SEGMENT_HEADER.pack(
-                _SEGMENT_MAGIC, _SEGMENT_VERSION, segment.seq,
-                segment.base_events))
-        self._sync(handle)
-        segment.num_events = 0
-        segment.append_pos = segment.header_size
-
-    @staticmethod
-    def _record_offset(segment, index):
-        """Byte offset of record ``index`` (records are fixed-size)."""
-        return segment.header_size + RECORD_SIZE * index
-
-    def _read_record(self, handle, segment, index):
-        """Next record as ``(kind, u, v, batch)``; None at a torn tail."""
-        record = handle.read(RECORD_SIZE)
-        if len(record) < RECORD_SIZE:
-            return None
-        payload, crc = record[:_PAYLOAD.size], record[_PAYLOAD.size:]
-        if _CRC.unpack(crc)[0] != zlib.crc32(payload) & 0xFFFFFFFF:
-            raise CorruptStorageError(
-                "journal %s: record %d at byte offset %d fails its "
-                "checksum (corrupted tail)"
-                % (segment.path, index,
-                   self._record_offset(segment, index)),
-                path=segment.path, segment=segment.seq,
-                offset=self._record_offset(segment, index))
-        return _PAYLOAD.unpack(payload)
-
     def _iter_segment(self, segment, start, stop):
         """Yield the segment's events overlapping ``[start, stop)``.
 
         Batches entirely before ``start`` are skipped with a seek of
-        their announced size; the scan already proved every batch
+        their announced size; the open scan already proved every batch
         complete, so the arithmetic is safe.  Reads always use their
         own handle so an append never races an iterator's position.
         """
-        handle = open(segment.path, "rb")
-        try:
-            handle.seek(segment.header_size)
-            offset = segment.base_events
-            read = 0
-            while offset < min(stop, segment.end_events):
-                head = self._read_record(handle, segment, read)
-                if head is None:
-                    break
-                read += 1
-                kind, count, _, batch = head
-                if kind == _KIND_QUARANTINE:
-                    continue
-                if kind != _KIND_BATCH:
+        first = max(start, segment.base_events)
+        remaining = min(stop, segment.end_events) - first
+        if remaining <= 0:
+            return
+        with open(segment.path, "rb") as handle:
+            handle.seek(HEADER_SIZE)
+            for item in _walk(handle, skip=first - segment.base_events):
+                if isinstance(item, Damage):
                     raise CorruptStorageError(
-                        "journal %s: record %d at byte offset %d is not "
-                        "a batch header (kind %d)"
-                        % (segment.path, read - 1,
-                           self._record_offset(segment, read - 1), kind),
+                        "journal segment %s: %s (changed since open)"
+                        % (segment.path, item.problem),
                         path=segment.path, segment=segment.seq,
-                        offset=self._record_offset(segment, read - 1))
-                if offset + count <= start:
-                    handle.seek(RECORD_SIZE * count, os.SEEK_CUR)
-                    read += count
-                    offset += count
+                        offset=item.offset)
+                _, batch, events = item
+                if events is None:
                     continue
-                for _ in range(count):
-                    record = self._read_record(handle, segment, read)
-                    if record is None:
-                        raise CorruptStorageError(
-                            "journal %s: batch %d truncated mid-read at "
-                            "byte offset %d"
-                            % (segment.path, batch,
-                               self._record_offset(segment, read)),
-                            path=segment.path, segment=segment.seq,
-                            offset=self._record_offset(segment, read))
-                    read += 1
-                    event_kind, u, v, event_batch = record
-                    if event_kind not in _KIND_TO_OP or \
-                            event_batch != batch:
-                        raise CorruptStorageError(
-                            "journal %s: record %d at byte offset %d "
-                            "does not belong to batch %d"
-                            % (segment.path, read - 1,
-                               self._record_offset(segment, read - 1),
-                               batch),
-                            path=segment.path, segment=segment.seq,
-                            offset=self._record_offset(segment, read - 1))
-                    if start <= offset < stop:
-                        yield event_batch, _KIND_TO_OP[event_kind], u, v
-                    offset += 1
-        finally:
-            handle.close()
+                for op, u, v in events[:remaining]:
+                    yield batch, op, u, v
+                remaining -= len(events)
+                if remaining <= 0:
+                    return
 
     def __repr__(self):
         return ("EventJournal(%r, segments=%d, events=%d)"

@@ -26,46 +26,41 @@ checksum corruption inside the active segment ahead of complete
 batches, or a damaged sealed segment the watermark does not cover --
 is *lossy*: it is only repaired under ``force=True`` (truncation at
 the damage point), and always itemized in the report either way.
+Artifacts of the pre-segmented (v1) layout are reported and never
+touched.
 
-The report is a plain dict (JSON-ready for ``repro scrub --json``):
-``openable`` is the storage-side verdict of whether
-:meth:`CoreService.open` would get past every consistency check, with
-``issues`` (location-bearing, one per problem found) and ``actions``
-(one per repair performed).
+The scrub owns only this repair policy.  Segments are read with the
+journal's :func:`~repro.service.journal.scan_segment` and the manifest
+with the service's own loader, so the report's ``openable`` -- the
+storage-side verdict of whether :meth:`CoreService.open` gets past
+every consistency check -- agrees with ``open``
+(``tests/test_scrub.py`` checks this over a damage matrix).  A
+torn active tail is reported but openable: ``open`` truncates it
+itself.  The report is a plain dict (JSON-ready for ``repro scrub
+--json``) with ``issues`` (location-bearing, one per problem found)
+and ``actions`` (one per repair performed).
 """
 
 from __future__ import annotations
 
 import os
 import shutil
-import zlib
 
 from repro.storage.state import load_checkpoint
 from repro.errors import CorruptStorageError
 from repro.service.core_service import (
-    CHECKPOINT_NAME,
     MANIFEST_NAME,
-    MANIFEST_VERSION,
     _MANIFEST_COPY_RE,
     _load_manifest,
     _read_delta_file,
 )
 from repro.service.journal import (
-    LEGACY_NAME,
-    RECORD_SIZE,
-    _CRC,
-    _KIND_BATCH,
-    _KIND_QUARANTINE,
-    _KIND_TO_OP,
-    _LEGACY_HEADER,
-    _LEGACY_MAGIC,
-    _LEGACY_VERSION,
-    _PAYLOAD,
-    _SEGMENT_HEADER,
-    _SEGMENT_MAGIC,
-    _SEGMENT_RE,
-    _SEGMENT_VERSION,
+    V1_JOURNAL_NAME,
     fsync_path,
+    list_segments,
+    reset_segment,
+    scan_segment,
+    truncate_segment,
 )
 
 __all__ = ["scrub_directory"]
@@ -74,115 +69,6 @@ __all__ = ["scrub_directory"]
 # ----------------------------------------------------------------------
 # read-only diagnosis
 # ----------------------------------------------------------------------
-
-def _scan_segment_file(path, seq, legacy):
-    """Read-only scan of one segment file.
-
-    Returns a dict with the segment's ``base`` offset, the number of
-    ``events`` in complete batches, ``good_pos`` (byte offset one past
-    the last complete batch -- the truncation point), and ``damage``
-    (None, or ``{"problem", "offset", "torn"}`` where ``torn`` marks
-    the crash-mid-append signature that is always safe to truncate).
-    """
-    with open(path, "rb") as handle:
-        blob = handle.read()
-    info = {"name": os.path.basename(path), "path": path, "seq": seq,
-            "base": None, "events": 0, "good_pos": 0,
-            "size": len(blob), "damage": None, "legacy": legacy}
-    header_size = _LEGACY_HEADER.size if legacy else _SEGMENT_HEADER.size
-    if not blob:
-        # Crash between create and header write: the journal
-        # re-initializes an empty *active* segment in place.
-        return info
-    if len(blob) < header_size:
-        info["damage"] = {"problem": "header truncated", "offset": 0,
-                          "torn": True}
-        return info
-    if legacy:
-        magic, version = _LEGACY_HEADER.unpack(blob[:header_size])
-        header_ok = magic == _LEGACY_MAGIC and version == _LEGACY_VERSION
-        info["base"] = 0
-    else:
-        magic, version, file_seq, base = _SEGMENT_HEADER.unpack(
-            blob[:header_size])
-        header_ok = (magic == _SEGMENT_MAGIC
-                     and version == _SEGMENT_VERSION and file_seq == seq)
-        if header_ok:
-            info["base"] = base
-    if not header_ok:
-        info["damage"] = {"problem": "bad header", "offset": 0,
-                          "torn": False}
-        return info
-
-    def record_at(pos):
-        record = blob[pos:pos + RECORD_SIZE]
-        if len(record) < RECORD_SIZE:
-            return "torn", None
-        payload, crc = record[:_PAYLOAD.size], record[_PAYLOAD.size:]
-        if _CRC.unpack(crc)[0] != zlib.crc32(payload) & 0xFFFFFFFF:
-            return "corrupt", None
-        return None, _PAYLOAD.unpack(payload)
-
-    pos = header_size
-    info["good_pos"] = pos
-    while pos < len(blob):
-        state, head = record_at(pos)
-        if state is not None:
-            info["damage"] = {
-                "problem": ("torn record" if state == "torn"
-                            else "record fails its checksum"),
-                "offset": pos, "torn": state == "torn"}
-            break
-        kind, count, _, batch = head
-        if kind == _KIND_QUARANTINE:
-            pos += RECORD_SIZE
-            info["good_pos"] = pos
-            continue
-        if kind != _KIND_BATCH:
-            info["damage"] = {"problem": "record is not a batch header "
-                                         "(kind %d)" % kind,
-                              "offset": pos, "torn": False}
-            break
-        body = pos + RECORD_SIZE
-        bad = None
-        for _ in range(count):
-            state, record = record_at(body)
-            if state is not None:
-                bad = {"problem": ("torn batch" if state == "torn"
-                                   else "record fails its checksum"),
-                       "offset": body, "torn": state == "torn"}
-                break
-            event_kind, _, _, event_batch = record
-            if event_kind not in _KIND_TO_OP or event_batch != batch:
-                bad = {"problem": "record does not belong to batch %d"
-                                  % batch,
-                       "offset": body, "torn": False}
-                break
-            body += RECORD_SIZE
-        if bad is not None:
-            info["damage"] = bad
-            break
-        pos = body
-        info["good_pos"] = pos
-        info["events"] += count
-    return info
-
-
-def _list_segments(data_dir):
-    """Journal segment files under ``data_dir``, oldest first."""
-    found = []
-    legacy = os.path.join(data_dir, LEGACY_NAME)
-    if os.path.exists(legacy):
-        found.append((0, legacy, True))
-    numbered = []
-    for name in os.listdir(data_dir):
-        match = _SEGMENT_RE.match(name)
-        if match:
-            numbered.append((int(match.group(1)),
-                             os.path.join(data_dir, name), False))
-    found.extend(sorted(numbered))
-    return found
-
 
 def _manifest_copies(data_dir):
     """Epoch-stamped manifest duplicates, newest epoch first."""
@@ -199,27 +85,22 @@ def _check_artifacts(data_dir, manifest, issues):
     """Verify the checkpoint artifacts a manifest points at.
 
     Appends location-bearing issues; returns True when the state file
-    (and, for v2 manifests, the delta file) pass their checksums.
+    and the delta file pass their checksums.
     """
     ok = True
-    state_name = manifest.get("checkpoint", CHECKPOINT_NAME)
+    state_name = manifest["checkpoint"]
     state_path = os.path.join(data_dir, state_name)
     try:
         load_checkpoint(state_path)
-    except FileNotFoundError:
-        issues.append({"file": state_name,
-                       "problem": "checkpoint file is missing"})
-        ok = False
     except CorruptStorageError as exc:
         issues.append(_issue_from(exc, state_name))
         ok = False
-    if manifest.get("version") == MANIFEST_VERSION and "delta" in manifest:
-        delta_name = manifest["delta"]
-        try:
-            _read_delta_file(os.path.join(data_dir, delta_name))
-        except CorruptStorageError as exc:
-            issues.append(_issue_from(exc, delta_name))
-            ok = False
+    delta_name = manifest["delta"]
+    try:
+        _read_delta_file(os.path.join(data_dir, delta_name))
+    except CorruptStorageError as exc:
+        issues.append(_issue_from(exc, delta_name))
+        ok = False
     return ok
 
 
@@ -236,8 +117,8 @@ def _issue_from(exc, fallback_file):
 
 def _diagnose(data_dir):
     """One read-only walk: manifest, artifacts, segments, verdict."""
-    state = {"issues": [], "manifest": None, "manifest_source": None,
-             "segments": [], "openable": False, "tmp_strays": []}
+    state = {"issues": [], "manifest": None, "segments": [],
+             "openable": False, "tmp_strays": []}
     issues = state["issues"]
     manifest_path = os.path.join(data_dir, MANIFEST_NAME)
     try:
@@ -249,71 +130,71 @@ def _diagnose(data_dir):
     except CorruptStorageError as exc:
         manifest = None
         issues.append(_issue_from(exc, MANIFEST_NAME))
-    if manifest is not None:
-        if manifest.get("version") not in (1, MANIFEST_VERSION):
-            issues.append({"file": MANIFEST_NAME,
-                           "problem": "unsupported manifest version %r"
-                                      % (manifest.get("version"),)})
-            manifest = None
     artifacts_ok = False
     if manifest is not None:
         state["manifest"] = manifest
-        state["manifest_source"] = MANIFEST_NAME
         artifacts_ok = _check_artifacts(data_dir, manifest, issues)
 
     for name in sorted(os.listdir(data_dir)):
         if name.endswith(".tmp"):
             state["tmp_strays"].append(name)
 
-    watermark = (int(manifest["events_applied"])
-                 if manifest is not None else None)
-    segments = []
-    for seq, path, legacy in _list_segments(data_dir):
-        segments.append(_scan_segment_file(path, seq, legacy))
-    state["segments"] = segments
+    watermark = manifest["events_applied"] if manifest is not None else None
     journal_ok = True
+    if os.path.exists(os.path.join(data_dir, V1_JOURNAL_NAME)):
+        # The journal refuses to open beside it; never deleted here.
+        journal_ok = False
+        issues.append({"file": V1_JOURNAL_NAME,
+                       "problem": "pre-segmented (v1) journal file; "
+                                  "reseed the data directory"})
+    segments = [scan_segment(path, seq)
+                for seq, path in list_segments(data_dir)]
+    state["segments"] = segments
     previous_end = None
-    for index, info in enumerate(segments):
+    for index, scan in enumerate(segments):
         is_active = index == len(segments) - 1
-        if info["damage"] is not None:
-            journal_ok = False
-            issue = {"file": info["name"], "segment": info["seq"],
-                     "offset": info["damage"]["offset"],
-                     "problem": info["damage"]["problem"]
-                                + ("" if is_active
-                                   else " (sealed segment)")}
-            issues.append(issue)
-            previous_end = None
-            continue
-        if info["base"] is None:
+        damage = scan.damage
+        if damage is not None:
+            issues.append({"file": scan.name, "segment": scan.seq,
+                           "offset": damage.offset,
+                           "problem": damage.problem
+                                      + ("" if is_active
+                                         else " (sealed segment)")})
+            # A torn tail behind an intact header is the
+            # crash-mid-append signature the journal truncates itself
+            # on open: reported, but the directory still opens.
+            if not (is_active and damage.torn and scan.good_pos):
+                journal_ok = False
+                previous_end = None
+                continue
+        if scan.base is None:
             # 0-byte file: legitimate only as the active segment.
             if not is_active:
                 journal_ok = False
-                issues.append({"file": info["name"],
-                               "segment": info["seq"],
+                issues.append({"file": scan.name, "segment": scan.seq,
                                "problem": "sealed segment is empty"})
             previous_end = None
             continue
-        if previous_end is not None and info["base"] != previous_end:
+        if previous_end is not None and scan.base != previous_end:
             journal_ok = False
-            issues.append({"file": info["name"], "segment": info["seq"],
+            issues.append({"file": scan.name, "segment": scan.seq,
                            "problem": "segment starts at event %d but "
                                       "its predecessor ends at %d"
-                                      % (info["base"], previous_end)})
-        previous_end = info["base"] + info["events"]
+                                      % (scan.base, previous_end)})
+        previous_end = scan.base + scan.events
 
-    if manifest is not None and artifacts_ok and journal_ok and segments:
-        intact = [s for s in segments if s["base"] is not None]
-        total = (intact[-1]["base"] + intact[-1]["events"]
-                 if intact else 0)
-        first = intact[0]["base"] if intact else 0
+    if manifest is not None and artifacts_ok and journal_ok:
+        # With no segment file at all, open() creates a fresh journal
+        # of 0 events: fine only at watermark 0.
+        intact = [s for s in segments if s.base is not None]
+        total = intact[-1].base + intact[-1].events if intact else 0
+        first = intact[0].base if intact else 0
         if watermark > total:
             issues.append({"file": MANIFEST_NAME,
                            "problem": "journal holds %d events but the "
                                       "checkpoint covers %d"
                                       % (total, watermark)})
-        elif manifest.get("version") == MANIFEST_VERSION \
-                and watermark < first:
+        elif watermark < first:
             issues.append({"file": MANIFEST_NAME,
                            "problem": "journal was compacted past the "
                                       "checkpoint (first retained event "
@@ -321,10 +202,6 @@ def _diagnose(data_dir):
                                       % (first, watermark)})
         else:
             state["openable"] = True
-    elif manifest is not None and artifacts_ok and journal_ok:
-        # No segment files at all: open() would create a fresh journal,
-        # then reject any nonzero watermark against its 0 events.
-        state["openable"] = watermark == 0
     return state
 
 
@@ -335,19 +212,17 @@ def _diagnose(data_dir):
 def _active_base(segments, index, manifest, watermark):
     """Best-evidence base offset for an active segment whose own header
     is unreadable: the predecessor's end, the manifest's journal
-    clause, or the checkpoint watermark (post-v2 every checkpoint
-    rotates, so a tail-less active segment starts at the watermark).
-    Returns None when no source is available."""
-    info = segments[index]
-    if info["legacy"]:
-        return 0
+    clause, or the checkpoint watermark (every checkpoint rotates, so a
+    tail-less active segment starts at the watermark).  Returns None
+    when no source is available."""
+    scan = segments[index]
     if index > 0:
         prev = segments[index - 1]
-        if prev["damage"] is None and prev["base"] is not None:
-            return prev["base"] + prev["events"]
+        if prev.damage is None and prev.base is not None:
+            return prev.base + prev.events
     clause = (manifest or {}).get("journal") or {}
     for entry in clause.get("segments") or []:
-        if entry.get("seq") == info["seq"] \
+        if entry.get("seq") == scan.seq \
                 and entry.get("base_events") is not None:
             return int(entry["base_events"])
     return watermark
@@ -361,10 +236,9 @@ def _repair(data_dir, diagnosis, actions, *, force):
 
     manifest = diagnosis["manifest"]
     manifest_ok = (manifest is not None
-                   and not any(issue["file"] == MANIFEST_NAME
-                               or issue["file"] == manifest.get(
-                                   "checkpoint", CHECKPOINT_NAME)
-                               or issue["file"] == manifest.get("delta")
+                   and not any(issue["file"] in (MANIFEST_NAME,
+                                                 manifest["checkpoint"],
+                                                 manifest["delta"])
                                for issue in diagnosis["issues"]))
     if not manifest_ok:
         for epoch, copy_path in _manifest_copies(data_dir):
@@ -385,25 +259,20 @@ def _repair(data_dir, diagnosis, actions, *, force):
                               epoch))
             break
 
-    watermark = (int(manifest["events_applied"])
-                 if manifest is not None else None)
+    watermark = manifest["events_applied"] if manifest is not None else None
     segments = diagnosis["segments"]
-    for index, info in enumerate(segments):
-        if info["damage"] is None:
+    for index, scan in enumerate(segments):
+        damage = scan.damage
+        if damage is None:
             continue
-        is_active = index == len(segments) - 1
-        damage = info["damage"]
-        if is_active:
-            lossy = not damage["torn"]
-            if lossy and not force:
+        if index == len(segments) - 1:
+            if not damage.torn and not force:
                 actions.append(
                     "left %s unrepaired: truncating at byte %d would "
                     "drop acknowledged events (pass force to allow)"
-                    % (info["name"], damage["offset"]))
+                    % (scan.name, damage.offset))
                 continue
-            header_size = (_LEGACY_HEADER.size if info["legacy"]
-                           else _SEGMENT_HEADER.size)
-            if info["good_pos"] < header_size:
+            if not scan.good_pos:
                 # The damage is inside the header itself: truncating
                 # would erase the segment's base offset and break the
                 # watermark check.  Rebuild an empty header instead.
@@ -412,84 +281,58 @@ def _repair(data_dir, diagnosis, actions, *, force):
                     actions.append(
                         "left %s unrepaired: cannot determine the "
                         "segment's base offset to rebuild its header"
-                        % info["name"])
+                        % scan.name)
                     continue
-                with open(info["path"], "r+b") as handle:
-                    handle.seek(0)
-                    if info["legacy"]:
-                        handle.write(_LEGACY_HEADER.pack(
-                            _LEGACY_MAGIC, _LEGACY_VERSION))
-                    else:
-                        handle.write(_SEGMENT_HEADER.pack(
-                            _SEGMENT_MAGIC, _SEGMENT_VERSION,
-                            info["seq"], base))
-                    handle.truncate(header_size)
-                    handle.flush()
-                    os.fsync(handle.fileno())
+                reset_segment(scan.path, scan.seq, base)
                 fsync_path(data_dir)
                 actions.append(
                     "rebuilt %s header (empty active segment at "
-                    "event %d)" % (info["name"], base))
+                    "event %d)" % (scan.name, base))
                 continue
-            with open(info["path"], "r+b") as handle:
-                handle.truncate(info["good_pos"])
-                handle.flush()
-                os.fsync(handle.fileno())
+            truncate_segment(scan.path, scan.good_pos)
             actions.append(
                 "truncated %s %s tail at byte %d (kept %d events)"
-                % (info["name"], "torn" if damage["torn"] else "corrupt",
-                   info["good_pos"], info["events"]))
+                % (scan.name, "torn" if damage.torn else "corrupt",
+                   scan.good_pos, scan.events))
             continue
         # Sealed segment.  Removable only when the watermark covers it
         # entirely -- proven by the successor's base offset -- and then
         # only together with every earlier segment (a gap would break
         # the base-offset chain).
-        successor = segments[index + 1] if index + 1 < len(segments) \
-            else None
-        covered = (watermark is not None and successor is not None
-                   and successor["base"] is not None
-                   and successor["base"] <= watermark)
+        successor = segments[index + 1]
+        covered = (watermark is not None and successor.base is not None
+                   and successor.base <= watermark)
         if covered:
             for earlier in segments[:index + 1]:
-                if os.path.exists(earlier["path"]):
-                    os.unlink(earlier["path"])
+                if os.path.exists(earlier.path):
+                    os.unlink(earlier.path)
                     actions.append(
                         "unlinked %s (events covered by the checkpoint "
-                        "watermark %d)" % (earlier["name"], watermark))
+                        "watermark %d)" % (earlier.name, watermark))
             fsync_path(data_dir)
-        elif (force and watermark is not None
-              and info["base"] is not None
-              and info["base"] >= watermark and not info["legacy"]):
+        elif (force and watermark is not None and scan.base is not None
+              and scan.base >= watermark):
             # Lossy: everything from this segment's first event on is
             # dropped.  The checkpoint still covers the history up to
             # ``base`` (base >= watermark), so the directory reopens at
             # the watermark -- acknowledged events past ``base`` are
             # lost, which is exactly what force signs off on.
             for later in segments[index + 1:]:
-                if os.path.exists(later["path"]):
-                    os.unlink(later["path"])
+                if os.path.exists(later.path):
+                    os.unlink(later.path)
                     actions.append("unlinked %s (past the truncation "
-                                   "point)" % later["name"])
-            with open(info["path"], "r+b") as handle:
-                handle.seek(0)
-                handle.write(_SEGMENT_HEADER.pack(
-                    _SEGMENT_MAGIC, _SEGMENT_VERSION, info["seq"],
-                    info["base"]))
-                handle.truncate(_SEGMENT_HEADER.size)
-                handle.flush()
-                os.fsync(handle.fileno())
+                                   "point)" % later.name)
+            reset_segment(scan.path, scan.seq, scan.base)
             fsync_path(data_dir)
             actions.append(
                 "reset %s to an empty segment at event %d (dropped all "
-                "events from %d on)"
-                % (info["name"], info["base"], info["base"]))
+                "events from %d on)" % (scan.name, scan.base, scan.base))
             break
         else:
             actions.append(
                 "left %s unrepaired: damaged sealed segment is not "
                 "covered by the checkpoint watermark%s"
-                % (info["name"],
-                   "" if force else " (and force is not set)"))
+                % (scan.name, "" if force else " (and force is not set)"))
     return actions
 
 
@@ -515,7 +358,7 @@ def scrub_directory(data_dir, *, repair=True, force=False):
                 "manifest": None, "segments": []}
     diagnosis = _diagnose(data_dir)
     actions = []
-    if repair and (not diagnosis["openable"] or diagnosis["tmp_strays"]):
+    if repair and (diagnosis["issues"] or diagnosis["tmp_strays"]):
         _repair(data_dir, diagnosis, actions, force=force)
         final = _diagnose(data_dir)
     else:
@@ -540,10 +383,11 @@ def scrub_directory(data_dir, *, repair=True, force=False):
             "quarantined_batches": manifest.get("quarantined_batches",
                                                 []),
         },
-        "segments": [{"name": info["name"], "seq": info["seq"],
-                      "base": info["base"], "events": info["events"],
-                      "size": info["size"],
-                      "damage": info["damage"]}
-                     for info in final["segments"]],
+        "segments": [{"name": scan.name, "seq": scan.seq,
+                      "base": scan.base, "events": scan.events,
+                      "size": scan.size,
+                      "damage": (None if scan.damage is None
+                                 else scan.damage._asdict())}
+                     for scan in final["segments"]],
     }
     return report

@@ -1,5 +1,7 @@
 """Tests for maintenance-state checkpointing."""
 
+import struct
+
 import pytest
 
 from repro.storage.state import (
@@ -88,6 +90,36 @@ class TestCorruption:
         data[0] = 0
         path.write_bytes(bytes(data))
         with pytest.raises(CorruptStorageError, match="magic"):
+            load_checkpoint(path)
+
+    def test_missing_file_is_typed(self, tmp_path):
+        path = tmp_path / "absent.ckpt"
+        with pytest.raises(CorruptStorageError, match="missing") as exc:
+            load_checkpoint(path)
+        assert exc.value.path == path
+
+    def test_v1_checkpoint_refused(self, tmp_path):
+        """The CRC-less v1 format is no longer read."""
+        maintainer = fresh_maintainer()
+        path = tmp_path / "state.ckpt"
+        maintainer.save_state(path)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<I", data, 8, 1)
+        path.write_bytes(bytes(data[:-4]))
+        with pytest.raises(CorruptStorageError,
+                           match="unsupported checkpoint version 1") \
+                as exc:
+            load_checkpoint(path)
+        assert exc.value.path == path
+
+    def test_flipped_payload_bit_fails_checksum(self, tmp_path):
+        maintainer = fresh_maintainer()
+        path = tmp_path / "state.ckpt"
+        maintainer.save_state(path)
+        data = bytearray(path.read_bytes())
+        data[33] ^= 0x04
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptStorageError, match="checksum"):
             load_checkpoint(path)
 
     def test_truncated_payload(self, tmp_path):

@@ -289,6 +289,43 @@ def _kill_once_shard_pass(graph, *, initial_cores, frozen_from):
                 frozen_from=frozen_from)
 
 
+def _claim(sentinel):
+    """Atomically create ``sentinel``; True for the first caller only."""
+    try:
+        os.close(os.open(sentinel, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    except FileExistsError:
+        return False
+    return True
+
+
+def _stale_once_shard_pass(graph, *, initial_cores, frozen_from):
+    """The first pass stalls until its round-start input changes (the
+    driver has moved on) and then finishes stale; the second dies."""
+    import time
+
+    from repro.core import sharded
+
+    real = engine_implementation("python", "shard-pass")
+    stale = os.environ["REPRO_TEST_STALE_SENTINEL"]
+    if _claim(stale):
+        index = next(i for i, shard in enumerate(sharded._ACTIVE_SHARDS)
+                     if shard.graph is graph)
+        count = len(initial_cores)
+        start = sharded._ACTIVE_PLAN.read_pass_input(index, count)
+        deadline = time.monotonic() + 10.0
+        while (time.monotonic() < deadline and start
+               == sharded._ACTIVE_PLAN.read_pass_input(index, count)):
+            time.sleep(0.01)
+        result = real(graph, initial_cores=initial_cores,
+                      frozen_from=frozen_from)
+        _claim(stale + ".finished")
+        return result
+    if _claim(os.environ["REPRO_TEST_KILL_SENTINEL"]):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real(graph, initial_cores=initial_cores,
+                frozen_from=frozen_from)
+
+
 def _hang_once_shard_pass(graph, *, initial_cores, frozen_from):
     sentinel = os.environ["REPRO_TEST_HANG_SENTINEL"]
     if not os.path.exists(sentinel):
@@ -347,7 +384,7 @@ class TestPersistentExecutorFaults:
                                 [1, 2, 3]) == [1, 4, 9]
             # Both workers may race past the sentinel check and die.
             assert executor.respawns >= 1
-            assert executor.pool_forks == 1
+            assert executor.pool_forks == 2  # the failed attempt re-forked
         finally:
             executor.close()
 
@@ -408,10 +445,10 @@ class TestPersistentExecutorFaults:
             _REGISTRY.pop("hang-once", None)
         assert _shm_segments() == []
 
-    def test_dead_worker_respawned_in_place_without_pool_refork(
+    def test_dead_worker_fails_the_attempt_and_pool_reforks(
             self, medium_random_graph, tmp_path, monkeypatch):
-        """Acceptance: SIGKILL mid-pass; the worker is replaced in
-        place, the round retried, the pool never re-forked, cores
+        """Acceptance: SIGKILL mid-pass; the attempt fails, the pool is
+        torn down and re-forked once, the round retried, cores
         bit-identical -- and no shared-memory segment leaks."""
         edges, n = medium_random_graph
         expected = nx_core_numbers(edges, n)
@@ -428,12 +465,46 @@ class TestPersistentExecutorFaults:
                 engine="kill-once", executor=executor)
             assert list(result.cores) == expected
             assert executor.respawns >= 1
-            assert executor.pool_forks == 1  # no per-round re-fork
+            assert executor.pool_forks == 2  # one re-fork, not per round
             assert os.path.exists(str(tmp_path / "killed"))
         finally:
             executor.close()
             from repro.core.engines import _REGISTRY
             _REGISTRY.pop("kill-once", None)
+        assert _shm_segments() == []
+
+    def test_stale_pass_of_a_failed_attempt_cannot_outlive_it(
+            self, medium_random_graph, tmp_path, monkeypatch):
+        """One round-1 pass stalls until the driver has moved past its
+        round while another worker dies.  The failed attempt's teardown
+        must take the stalled pass with it, so it never writes its
+        output slot into a later round: it never finishes, and the
+        cores stay bit-identical."""
+        edges, n = medium_random_graph
+        expected = nx_core_numbers(edges, n)
+        stale = str(tmp_path / "stale")
+        monkeypatch.setenv("REPRO_TEST_STALE_SENTINEL", stale)
+        monkeypatch.setenv("REPRO_TEST_KILL_SENTINEL",
+                           str(tmp_path / "killed"))
+        register_engine("stale-once", "fault-injection test double",
+                        lambda: {"shard-pass": _stale_once_shard_pass})
+        executor = PersistentShardExecutor(
+            processes=2, task_timeout=60.0, max_retries=2,
+            retry_backoff=0.0)
+        try:
+            result = sharded_semi_core_star(
+                GraphStorage.from_edges(edges, n), 3,
+                engine="stale-once", executor=executor)
+            assert os.path.exists(stale)
+            assert os.path.exists(str(tmp_path / "killed"))
+            assert not os.path.exists(stale + ".finished")
+            assert list(result.cores) == expected
+            assert executor.respawns >= 1
+            assert executor.pool_forks == 2
+        finally:
+            executor.close()
+            from repro.core.engines import _REGISTRY
+            _REGISTRY.pop("stale-once", None)
         assert _shm_segments() == []
 
     def test_no_segment_leak_after_clean_run_and_close(self):

@@ -8,13 +8,15 @@ import pytest
 
 from repro.errors import CorruptStorageError
 from repro.service.journal import (
-    LEGACY_NAME,
+    HEADER_SIZE,
     RECORD_SIZE,
+    V1_JOURNAL_NAME,
     EventJournal,
+    scan_segment,
     segment_name,
 )
 
-_LEGACY_HEADER = struct.Struct("<8sI4x")
+_V1_HEADER = struct.Struct("<8sI4x")
 _SEGMENT_HEADER = struct.Struct("<8sI4xQQ")
 _PAYLOAD = struct.Struct("<BIIQ")
 _CRC = struct.Struct("<I")
@@ -32,12 +34,12 @@ def batch_blob(events, batch):
                            for op, u, v in events)
 
 
-def write_legacy_journal(directory, batches):
-    """Author a v1 single-file journal exactly as the PR-3 code did."""
-    blob = _LEGACY_HEADER.pack(b"RPRJRNL1", 1)
+def write_v1_journal(directory, batches):
+    """Author a pre-segmented (v1) single-file journal."""
+    blob = _V1_HEADER.pack(b"RPRJRNL1", 1)
     for batch, events in batches:
         blob += batch_blob(events, batch)
-    path = os.path.join(os.fspath(directory), LEGACY_NAME)
+    path = os.path.join(os.fspath(directory), V1_JOURNAL_NAME)
     with open(path, "wb") as handle:
         handle.write(blob)
     return path
@@ -416,59 +418,88 @@ class TestCrashTolerance:
             journal.rotate()
 
 
-class TestLegacyAdoption:
-    """A v1 single-file journal keeps working as segment 0."""
+class TestV1Refusal:
+    """A pre-segmented journal is refused by name, never adopted."""
 
-    def test_legacy_file_opens_and_reads(self, tmp_path):
-        write_legacy_journal(tmp_path, [
-            (1, [("+", 1, 2), ("-", 3, 4)]),
-            (2, [("+", 5, 6)]),
-        ])
-        with EventJournal(tmp_path) as journal:
-            assert journal.num_events == 3
-            assert journal.active_segment == LEGACY_NAME
-            assert journal.events() == [(1, "+", 1, 2), (1, "-", 3, 4),
-                                        (2, "+", 5, 6)]
-
-    def test_appends_continue_into_legacy_file(self, tmp_path):
-        write_legacy_journal(tmp_path, [(1, [("+", 1, 2)])])
-        with EventJournal(tmp_path) as journal:
-            journal.append([("-", 1, 2)], batch=2)
-        with EventJournal(tmp_path) as journal:
-            assert journal.events() == [(1, "+", 1, 2), (2, "-", 1, 2)]
-            assert journal.num_segments == 1
-
-    def test_rotation_seals_then_compaction_retires_legacy(self, tmp_path):
-        write_legacy_journal(tmp_path, [(1, [("+", 1, 2), ("-", 3, 4)])])
-        with EventJournal(tmp_path) as journal:
-            journal.rotate()
-            assert journal.active_segment == segment_name(1)
-            journal.append([("+", 5, 6)], batch=2)
-            assert journal.compact(2) == [LEGACY_NAME]
-        assert not (tmp_path / LEGACY_NAME).exists()
-        with EventJournal(tmp_path) as journal:
-            assert journal.first_retained_event == 2
-            assert journal.events(2) == [(2, "+", 5, 6)]
-
-    def test_legacy_torn_tail_truncated(self, tmp_path):
-        path = write_legacy_journal(tmp_path, [
-            (1, [("+", 9, 10)]),
-            (2, [("+", 1, 2), ("-", 3, 4)]),
-        ])
-        data = open(path, "rb").read()
-        open(path, "wb").write(data[:-(RECORD_SIZE // 2)])
-        with EventJournal(tmp_path) as journal:
-            assert journal.events() == [(1, "+", 9, 10)]
-
-    def test_legacy_bad_magic_rejected(self, tmp_path):
-        (tmp_path / LEGACY_NAME).write_bytes(b"NOTAJRNL" + b"\x00" * 8)
-        with pytest.raises(CorruptStorageError, match="magic"):
+    def test_v1_journal_refused_with_its_path(self, tmp_path):
+        path = write_v1_journal(tmp_path, [(1, [("+", 1, 2)])])
+        before = open(path, "rb").read()
+        with pytest.raises(CorruptStorageError,
+                           match=V1_JOURNAL_NAME) as exc_info:
             EventJournal(tmp_path)
+        assert exc_info.value.path == path
+        # Untouched, and no segment was started beside it.
+        assert open(path, "rb").read() == before
+        assert sorted(os.listdir(tmp_path)) == [V1_JOURNAL_NAME]
 
-    def test_legacy_empty_file_reinitialized(self, tmp_path):
-        (tmp_path / LEGACY_NAME).write_bytes(b"")
+    def test_v1_journal_beside_segments_refused(self, tmp_path):
         with EventJournal(tmp_path) as journal:
-            assert journal.num_events == 0
             journal.append([("+", 1, 2)], batch=1)
+            segment = active_path(journal)
+        size = os.path.getsize(segment)
+        write_v1_journal(tmp_path, [])
+        with pytest.raises(CorruptStorageError, match="v1"):
+            EventJournal(tmp_path)
+        assert os.path.getsize(segment) == size
+
+    def test_journal_path_given_as_file_refused(self, tmp_path):
+        path = write_v1_journal(tmp_path, [])
+        with pytest.raises(CorruptStorageError, match="directory"):
+            EventJournal(path)
+
+
+class TestScanSegment:
+    """The one read-only segment reader: reports, never repairs."""
+
+    def fill(self, tmp_path):
         with EventJournal(tmp_path) as journal:
-            assert journal.events() == [(1, "+", 1, 2)]
+            journal.append([("+", 1, 2), ("-", 3, 4)], batch=1)
+            journal.append_quarantine(1)
+            journal.append([("+", 5, 6)], batch=2)
+            return active_path(journal)
+
+    def test_clean_segment(self, tmp_path):
+        path = self.fill(tmp_path)
+        scan = scan_segment(path, 1)
+        assert (scan.base, scan.events, scan.damage) == (0, 3, None)
+        assert scan.good_pos == scan.size == os.path.getsize(path)
+        assert scan.quarantined == [1]
+
+    def test_torn_tail_reported_not_truncated(self, tmp_path):
+        path = self.fill(tmp_path)
+        data = open(path, "rb").read()
+        open(path, "wb").write(data[:-3])
+        scan = scan_segment(path, 1)
+        assert scan.damage.torn
+        assert scan.events == 2
+        assert scan.good_pos == HEADER_SIZE + 4 * RECORD_SIZE
+        assert os.path.getsize(path) == len(data) - 3
+
+    def test_checksum_damage_located(self, tmp_path):
+        path = self.fill(tmp_path)
+        data = bytearray(open(path, "rb").read())
+        offset = HEADER_SIZE + RECORD_SIZE
+        data[offset + 1] ^= 0x10
+        open(path, "wb").write(bytes(data))
+        scan = scan_segment(path, 1)
+        assert not scan.damage.torn
+        assert scan.damage.offset == offset
+        assert "checksum" in scan.damage.problem
+        assert scan.good_pos == HEADER_SIZE and scan.events == 0
+
+    def test_header_damage_has_no_base(self, tmp_path):
+        path = self.fill(tmp_path)
+        scan = scan_segment(path, 2)
+        assert "sequence" in scan.damage.problem
+        assert scan.base is None and scan.good_pos == 0
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / segment_name(1)
+        path.write_bytes(b"")
+        scan = scan_segment(str(path), 1)
+        assert (scan.size, scan.base, scan.damage) == (0, None, None)
+
+    def test_v1_file_is_not_a_segment(self, tmp_path):
+        path = write_v1_journal(tmp_path, [(1, [("+", 1, 2)])])
+        scan = scan_segment(path, 0)
+        assert scan.damage is not None and scan.base is None

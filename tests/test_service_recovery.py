@@ -8,9 +8,7 @@ the *straight-through* run's maintained state exactly -- ``core``,
 ``cnt`` and the epoch -- under both execution engines.  A batch counts
 as applied the moment its journal append returns; the crash windows
 between append, index update, rotation, manifest and compaction are
-exactly what replay covers.  A data directory written by the PR-3
-single-file-journal code must still open and be migrated to the
-segmented layout by its first checkpoint.
+exactly what replay covers.
 """
 
 import glob
@@ -22,14 +20,11 @@ import sys
 import pytest
 
 from repro.core.engines import available_engines
-from repro.storage.state import save_checkpoint
 from repro.errors import CorruptStorageError, ReproError
 from repro.service import CoreService
-from repro.service.journal import LEGACY_NAME, RECORD_SIZE, EventJournal
+from repro.service.journal import RECORD_SIZE, EventJournal
 from repro.service.workload import generate_updates, in_batches
 from repro.storage.graphstore import GraphStorage
-
-from test_service_journal import write_legacy_journal
 
 ENGINES = ["python"] + (["numpy"] if "numpy" in available_engines()
                         else [])
@@ -542,75 +537,6 @@ class TestBoundedJournal:
             - manifest["events_applied"]
         assert resumed.verify()
         resumed.close()
-
-
-class TestV1Migration:
-    """A PR-3 data directory (single-file journal, unversioned
-    checkpoint, manifest v1) opens and is migrated on first checkpoint.
-    """
-
-    def build_v1_dir(self, tmp_path, applied_batches=2):
-        edges, n = graph_edges()
-        batches = update_batches(edges, n)
-        data_dir = tmp_path / "v1svc"
-        os.makedirs(data_dir)
-        # The journal holds every batch; the checkpoint covers only the
-        # first ``applied_batches`` of them.
-        write_legacy_journal(
-            data_dir,
-            [(i + 1, events) for i, events in enumerate(batches)])
-        covered = straight_through(edges, n, batches[:applied_batches])
-        save_checkpoint(os.path.join(str(data_dir), "state.ckpt"),
-                        covered.graph, covered.maintainer.cores,
-                        covered.maintainer.cnt)
-        manifest = {
-            "version": 1,
-            "epoch": covered.epoch,
-            "events_applied": covered.events_applied,
-            "checkpoint": "state.ckpt",
-            "journal": "journal.log",
-            "graph_path": None,
-            "seed_algorithm": "semicore*",
-            "num_nodes": n,
-        }
-        with open(os.path.join(str(data_dir), "manifest.json"), "w",
-                  encoding="ascii") as handle:
-            json.dump(manifest, handle)
-        return edges, n, batches, data_dir
-
-    def test_v1_dir_opens_to_straight_through_state(self, tmp_path):
-        edges, n, batches, data_dir = self.build_v1_dir(tmp_path)
-        resumed = CoreService.open(data_dir,
-                                   GraphStorage.from_edges(edges, n))
-        reference = straight_through(edges, n, batches)
-        assert state_of(resumed) == state_of(reference)
-        assert resumed.verify()
-        resumed.close()
-
-    def test_first_checkpoint_migrates_to_segments(self, tmp_path):
-        edges, n, batches, data_dir = self.build_v1_dir(tmp_path)
-        resumed = CoreService.open(data_dir,
-                                   GraphStorage.from_edges(edges, n))
-        resumed.checkpoint()
-        resumed.close()
-        # The single-file journal and the unversioned checkpoint are
-        # retired; the manifest speaks v2 and points at segments.
-        assert not os.path.exists(
-            os.path.join(str(data_dir), LEGACY_NAME))
-        assert not os.path.exists(
-            os.path.join(str(data_dir), "state.ckpt"))
-        manifest = read_manifest(data_dir)
-        assert manifest["version"] == 2
-        assert manifest["journal"]["format"] == 2
-        assert manifest["journal"]["segments"]
-
-        # And the migrated directory still resumes exactly.
-        reopened = CoreService.open(data_dir,
-                                    GraphStorage.from_edges(edges, n))
-        reference = straight_through(edges, n, batches)
-        assert state_of(reopened) == state_of(reference)
-        assert reopened.verify()
-        reopened.close()
 
 
 class TestKillProcess:
